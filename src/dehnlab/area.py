@@ -330,20 +330,17 @@ def area_oracle(
 # -- certified upper bounds ------------------------------------------------------
 
 
-def _fill_info(p: AbelianPresentation):
+def _fill_info(relators, r: int):
     """Relator shapes usable by the sort-and-cancel filler, or None.
 
     Usable presentations have only commutator relators [a_i, a_j] (covering
-    every generator pair) and pure power relators a_i^m.
+    every generator pair) and pure power relators a_i^m; the result maps each
+    generator with a power relator to its smallest exponent.
     """
-    cached = getattr(p, "_fill_info_cache", False)
-    if cached is not False:
-        return cached
     power_of: dict[int, int] = {}
     pairs = set()
-    info = None
     ok = True
-    for rel in p.relators:
+    for rel in relators:
         core = _cyclic_reduce(reduce_codes(rel.codes))
         if not core:
             continue
@@ -373,15 +370,10 @@ def _fill_info(p: AbelianPresentation):
         else:
             ok = False
             break
-    if ok and p.r >= 2:
-        needed = {
-            frozenset((i, j)) for i in range(1, p.r + 1) for j in range(i + 1, p.r + 1)
-        }
+    if ok and r >= 2:
+        needed = {frozenset((i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
         ok = needed <= pairs
-    if ok:
-        info = power_of
-    setattr(p, "_fill_info_cache", info)
-    return info
+    return power_of if ok else None
 
 
 def _sort_fill_upper(p: AbelianPresentation, codes):
@@ -391,7 +383,7 @@ def _sort_fill_upper(p: AbelianPresentation, codes):
     relator; each residual a_i^(m_i) block is one power relator. Returns None
     when the presentation's relators do not support this filling.
     """
-    info = _fill_info(p)
+    info = _fill_info(p.relators, p.r)
     if info is None:
         return None
     codes = reduce_codes(codes)

@@ -126,6 +126,8 @@ def cmd_cogrowth(args) -> int:
 
 def cmd_dehn(args) -> int:
     p = resolve_group(args.group)
+    if args.n < 0:
+        raise ValueError("--n must be non-negative")
     sampled = args.samples is not None
     if sampled and args.seed is None:
         raise ValueError("--seed is required whenever sampling is requested")
@@ -203,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seeded=False):
         sp.add_argument("--emit", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default="-", help="output path, '-' for stdout")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="worker cap (0 = all cores); results never depend on it")
         if seeded:
             sp.add_argument("--seed", type=int, default=None)
 

@@ -1,7 +1,10 @@
 """Dehn function statistics: maxima and means of filling areas, exact and sampled.
 
-Exact values come from pruned enumeration of closed (or all) words of a given
-length; sampled values from seeded Monte Carlo with normal-approximation
+Exact means on standard Z^2 come from a per-cell winding-number DP that totals
+the area of every word of a length without listing the words. D(n), whose
+maximum does not split per cell, other presentations and other combings use
+pruned enumeration of closed (or all) words, which is also the DP's test
+oracle. Sampled values come from seeded Monte Carlo with normal-approximation
 confidence intervals. All report values are exact rationals or float
 estimates, normalized by n (ln n)^2 from n = 2 on.
 """
@@ -28,6 +31,7 @@ KIND_OSMEAN = "osmean"
 KIND_LAZY_MEAN = "lazy-mean"
 
 DEFAULT_ENUM_BUDGET = 2**26
+DEFAULT_DP_BUDGET = 2**28
 Z_95 = 1.96
 
 
@@ -194,14 +198,12 @@ def closed_level_stats(
     budget: int = DEFAULT_ENUM_BUDGET,
     **oracle_kw,
 ) -> tuple[int, int, int]:
-    """(count, area sum, area max) over the closed words of length exactly n."""
-    cache = getattr(p, "_level_stats_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(p, "_level_stats_cache", cache)
-    key = (n, engine)
-    if key in cache:
-        return cache[key]
+    """(count, area sum, area max) over the closed words of length exactly n.
+
+    Pruned enumeration: the route for D(n), whose maximum does not split per
+    cell, for presentations other than standard Z^2, and the test oracle for
+    the winding DP.
+    """
     _check_enum_budget(p, n, budget)
     area = _area_engine(p, engine, **oracle_kw)
     count = 0
@@ -213,9 +215,153 @@ def closed_level_stats(
         asum += a
         if a > amax:
             amax = a
-    result = (count, asum, amax)
-    cache[key] = result
-    return result
+    return count, asum, amax
+
+
+# -- per-cell winding DP on standard Z^2 --------------------------------------------
+#
+# The area of a closed Z^2 word is the sum over unit cells of |winding|. The
+# winding of cell (u0, y0) is the number of a-steps leaving x = u0 at a height
+# <= y0 minus the number of A-steps leaving x = u0 + 1 at a height <= y0, so it
+# is a counter k carried along the walk. For one cell column u0 the DP counts
+# walks from the origin in N[y0, x, y, k], with the cell height y0 vectorised;
+# summing |k| over the states a word can end in gives that column's share of the
+# total area of all those words at once. Reflecting either axis preserves areas
+# and the staircase return, so only cells with u0, y0 >= 0 are run and their
+# sums are counted four times.
+
+
+def _winding_bound(n: int) -> int:
+    """Largest |k| of any cell after n steps.
+
+    Column crossings alternate in direction, so within a run of crossings on
+    one side of the cell's height their contributions cancel pairwise; each
+    further unit of |k| needs two more horizontal and two vertical steps.
+    """
+    return (n + 3) // 4
+
+
+def _dp_work(radius: int, n: int) -> int:
+    """Up-front work count of a winding DP: cells x steps x states."""
+    return radius * radius * n * (2 * radius + 1) ** 2 * (2 * _winding_bound(n) + 1)
+
+
+def _check_dp_budget(radius: int, n: int, budget: int | None) -> None:
+    if budget is None:
+        budget = DEFAULT_DP_BUDGET
+    work = _dp_work(radius, n)
+    if work > budget:
+        raise BudgetError(f"winding DP of {work} cell-step-states exceeds budget {budget}")
+
+
+def _dp_dtype(n: int):
+    """int64 while every DP entry and per-state read-out provably fits, else Python ints.
+
+    An entry counts walks of at most n steps to one point, at most
+    C(n, n // 2)^2 of them (the coordinates x + y and x - y are independent
+    +-1 walks); a read-out weighs it by at most _winding_bound(n) + 1. The
+    sums over cell heights and columns are taken in Python ints.
+    """
+    if (_winding_bound(n) + 1) * math.comb(n, n // 2) ** 2 < 2**63:
+        return np.int64
+    return object
+
+
+def _winding_dp(u0: int, radius: int, n: int, dtype):
+    """Yield N[y0, x, y, k] for cell column u0 after each of 0..n steps.
+
+    The cells are (u0, y0) for 0 <= y0 < radius; x, y are offset by radius and
+    k by _winding_bound(n). Walks that leave the box |x|, |y| <= radius are
+    dropped, so the box must hold every walk of interest.
+    """
+    side = 2 * radius + 1
+    kb = _winding_bound(n)
+    ix0 = u0 + radius
+    ys = np.arange(-radius, radius + 1)
+    below = (ys[None, :] <= np.arange(radius)[:, None]).astype(dtype)[..., None]
+    N = np.zeros((radius, side, side, 2 * kb + 1), dtype=dtype)
+    N[:, radius, radius, kb] = 1
+    yield N
+    for _ in range(n):
+        new = np.zeros_like(N)
+        new[:, 1:] = N[:, :-1]
+        new[:, :-1] += N[:, 1:]
+        new[:, :, 1:] += N[:, :, :-1]
+        new[:, :, :-1] += N[:, :, 1:]
+        up = N[:, ix0] * below  # a from x = u0 under the cell: k + 1
+        new[:, ix0 + 1] -= up
+        new[:, ix0 + 1, :, 1:] += up[..., :-1]
+        down = N[:, ix0 + 1] * below  # A from x = u0 + 1 under the cell: k - 1
+        new[:, ix0] -= down
+        new[:, ix0, :, :-1] += down[..., 1:]
+        N = new
+        yield N
+
+
+def _z2_level_sums(n_max: int, budget: int | None = None, dtype=None) -> list[tuple[int, int]]:
+    """(count, area sum) of the closed Z^2 words of each length t <= n_max."""
+    radius = max(n_max // 2, 1)  # a walk farther out cannot close by n_max
+    _check_dp_budget(radius, n_max, budget)
+    if dtype is None:
+        dtype = _dp_dtype(n_max)
+    kb = _winding_bound(n_max)
+    kabs = np.abs(np.arange(-kb, kb + 1)).astype(dtype)
+    counts = [0] * (n_max + 1)
+    sums = [0] * (n_max + 1)
+    for u0 in range(radius):
+        for t, N in enumerate(_winding_dp(u0, radius, n_max, dtype)):
+            if t % 2:
+                continue
+            closed = N[:, radius, radius]
+            sums[t] += sum(int(v) for v in closed @ kabs)
+            if u0 == 0:
+                counts[t] = int(closed[0].sum())
+    return [(c, 4 * s) for c, s in zip(counts, sums)]
+
+
+def _z2_staircase_table(n: int, budget: int | None = None, dtype=None):
+    """(counts, open-area sums) of all 4^n words by endpoint, staircase return.
+
+    Both arrays are indexed [x + r, y + r] with r = max(n, 1). The return runs
+    down (or up) to height 0 and then along it to the origin, so it shifts the
+    winding of a cell with y0 >= 0 by -1 when 0 <= u0 < x_end.
+    """
+    radius = max(n, 1)
+    _check_dp_budget(radius, n, budget)
+    if dtype is None:
+        dtype = _dp_dtype(n)
+    kb = _winding_bound(n)
+    ks = np.arange(-kb, kb + 1)
+    xs = np.arange(-radius, radius + 1)
+    sums = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=object)
+    counts = None
+    for u0 in range(radius):
+        for N in _winding_dp(u0, radius, n, dtype):
+            pass  # only the states after the last step are read
+        weight = np.abs(ks[None, :] - (xs > u0)[:, None]).astype(dtype)
+        sums += (N * weight[:, None, :]).sum(axis=3).astype(object).sum(axis=0)
+        if counts is None:
+            counts = N[0].sum(axis=-1)
+    sums = sums + sums[::-1] + sums[:, ::-1] + sums[::-1, ::-1]
+    return counts, sums, radius
+
+
+def level_sums(
+    p: AbelianPresentation, n_max: int, *, budget: int | None = None, **oracle_kw
+) -> list[tuple[int, int]]:
+    """(count, area sum) over the closed words of each length t <= n_max.
+
+    One winding-DP pass on standard Z^2 (budget counts cells x steps x
+    states); pruned enumeration level by level elsewhere (budget counts
+    words per level).
+    """
+    if p.is_standard_free and p.r == 2:
+        return _z2_level_sums(n_max, budget)
+    if budget is None:
+        budget = DEFAULT_ENUM_BUDGET
+    return [
+        closed_level_stats(p, t, budget=budget, **oracle_kw)[:2] for t in range(n_max + 1)
+    ]
 
 
 def dehn_exact(
@@ -231,21 +377,21 @@ def dehn_exact(
     return reports
 
 
+def _smean(count: int, asum: int) -> Fraction:
+    """Spherical mean of one level; zero by convention when the sphere is empty."""
+    return Fraction(0) if count == 0 else Fraction(asum, count)
+
+
 def smean_exact(p: AbelianPresentation, n: int, **kw) -> DehnReport:
     """Exact spherical mean; zero by convention when the sphere is empty."""
-    count, asum, _ = closed_level_stats(p, n, **kw)
-    value = Fraction(0) if count == 0 else Fraction(asum, count)
-    return DehnReport(n=n, kind=KIND_SMEAN, value=value)
+    return DehnReport(n=n, kind=KIND_SMEAN, value=_smean(*level_sums(p, n, **kw)[n]))
 
 
 def mean_exact(p: AbelianPresentation, n: int, **kw) -> DehnReport:
     """Exact mean over the ball of closed words of length <= n."""
-    total = 0
-    asum = 0
-    for m in range(n + 1):
-        c, s, _ = closed_level_stats(p, m, **kw)
-        total += c
-        asum += s
+    levels = level_sums(p, n, **kw)
+    total = sum(c for c, _ in levels)
+    asum = sum(s for _, s in levels)
     return DehnReport(n=n, kind=KIND_MEAN, value=Fraction(asum, total))
 
 
@@ -258,10 +404,7 @@ def lazy_mean(p: AbelianPresentation, n: int, **kw) -> DehnReport:
     """
     num = 0
     den = 0
-    for m in range(n + 1):
-        c, s, _ = closed_level_stats(p, m, **kw)
-        if c == 0:
-            continue
+    for m, (c, s) in enumerate(level_sums(p, n, **kw)):
         mult = math.comb(n, n - m)
         num += mult * s
         den += mult * c
@@ -272,62 +415,32 @@ def lazy_mean(p: AbelianPresentation, n: int, **kw) -> DehnReport:
 # -- open means -------------------------------------------------------------------
 
 
-def _staircase_close_codes(x: int, y: int) -> tuple[int, ...]:
-    """Inverse staircase word returning (x, y) to the origin: undo b's, then a's."""
-    codes: list[int] = []
-    codes += [-2 if y > 0 else 2] * abs(y)
-    codes += [-1 if x > 0 else 1] * abs(x)
-    return tuple(codes)
-
-
-def _osmean_sum_z2_staircase(n: int) -> int:
-    """Sum of open areas over all 4^n words, staircase combing.
-
-    Flipping one axis is an area-preserving bijection, so words starting
-    with an inverse letter mirror those starting with the plain one: only
-    half the words are enumerated.
-    """
-    if n == 0:
-        return 0
-    total = 0
-    for first in (1, 2):
-        for rest in enumerate_code_tuples(2, n - 1, budget=2**62):
-            codes = (first,) + rest
-            x = y = 0
-            for c in codes:
-                if c == 1:
-                    x += 1
-                elif c == -1:
-                    x -= 1
-                elif c == 2:
-                    y += 1
-                else:
-                    y -= 1
-            total += _area_z2_codes(codes + _staircase_close_codes(x, y))
-    return 2 * total
-
-
 def osmean_exact(
     p: AbelianPresentation,
     c: GeodesicCombing,
     n: int,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int | None = None,
     **kw,
 ) -> DehnReport:
-    """Exact mean open area over all (2r)^n words of length n."""
-    _check_enum_budget(p, n, budget)
-    denom = sphere_size(p.r, n)
+    """Exact mean open area over all (2r)^n words of length n.
+
+    The winding DP on standard Z^2 with the staircase combing, enumeration of
+    every word otherwise; budget as in osmean_by_endpoint.
+    """
     if p.is_standard_free and p.r == 2 and c.kind == "staircase":
-        total = _osmean_sum_z2_staircase(n)
+        total = int(_z2_staircase_table(n, budget)[1].sum())
     else:
+        if budget is None:
+            budget = DEFAULT_ENUM_BUDGET
+        _check_enum_budget(p, n, budget)
         area = _area_engine(p, "auto", **kw)
         total = 0
         for codes in enumerate_code_tuples(p.r, n, budget=budget):
             closed = close_path(c, Word(codes))
             total += area(closed.codes)
     return DehnReport(
-        n=n, kind=KIND_OSMEAN, value=Fraction(total, denom), combing=c.kind
+        n=n, kind=KIND_OSMEAN, value=Fraction(total, sphere_size(p.r, n)), combing=c.kind
     )
 
 
@@ -336,16 +449,24 @@ def osmean_by_endpoint(
     c: GeodesicCombing,
     n: int,
     *,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int | None = None,
     **kw,
 ) -> dict:
-    """Per-endpoint (walk count, open-area sum) over all length-n words."""
-    _check_enum_budget(p, n, budget)
+    """Per-endpoint [walk count, open-area sum] over all length-n words.
+
+    The winding DP on standard Z^2 with the staircase combing (budget counts
+    cells x steps x states); enumeration of every word otherwise (budget
+    counts words).
+    """
     if p.is_standard_free and p.r == 2 and c.kind == "staircase":
+        counts, sums, r = _z2_staircase_table(n, budget)
         return {
-            p.canonical_form(xy): entry
-            for xy, entry in _osmean_table_z2_staircase(n).items()
+            p.canonical_form((int(x) - r, int(y) - r)): [int(counts[x, y]), int(sums[x, y])]
+            for x, y in zip(*np.nonzero(counts))
         }
+    if budget is None:
+        budget = DEFAULT_ENUM_BUDGET
+    _check_enum_budget(p, n, budget)
     area = _area_engine(p, "auto", **kw)
     out: dict = {}
     for codes in enumerate_code_tuples(p.r, n, budget=budget):
@@ -359,31 +480,6 @@ def osmean_by_endpoint(
             entry[1] += a
         else:
             out[v] = [1, a]
-    return out
-
-
-def _osmean_table_z2_staircase(n: int) -> dict:
-    """(count, open-area sum) per lattice endpoint, staircase combing."""
-    out: dict = {}
-    for codes in enumerate_code_tuples(2, n, budget=2**62):
-        x = y = 0
-        for cd in codes:
-            if cd == 1:
-                x += 1
-            elif cd == -1:
-                x -= 1
-            elif cd == 2:
-                y += 1
-            else:
-                y -= 1
-        a = _area_z2_codes(codes + _staircase_close_codes(x, y))
-        key = (x, y)
-        if key in out:
-            entry = out[key]
-            entry[0] += 1
-            entry[1] += a
-        else:
-            out[key] = [1, a]
     return out
 
 
@@ -547,9 +643,13 @@ def relation_check(p: AbelianPresentation, n_max: int, **kw) -> list[RelationRow
     """Exact check of mean(n) <= max over m <= n of smean(m), per length."""
     rows = []
     running_max = Fraction(0)
-    for n in range(n_max + 1):
-        running_max = max(running_max, smean_exact(p, n, **kw).value)
-        mv = mean_exact(p, n, **kw).value
+    total = 0
+    asum = 0
+    for n, (c, s) in enumerate(level_sums(p, n_max, **kw)):
+        running_max = max(running_max, _smean(c, s))
+        total += c
+        asum += s
+        mv = Fraction(asum, total)
         rows.append(RelationRow(n, mv, running_max, mv <= running_max))
     return rows
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from dehnlab import Word, builtin_presentation, cyclic, make_combing
 
@@ -36,3 +37,11 @@ def z5():
 @pytest.fixture(scope="session")
 def st2(z2):
     return make_combing(z2, "staircase")
+
+
+# One deterministic profile: derandomized examples, no example database and
+# no per-example deadline, so tier-1 runs the same cases in the same time.
+settings.register_profile(
+    "dehnlab", derandomize=True, database=None, deadline=None, max_examples=30
+)
+settings.load_profile("dehnlab")

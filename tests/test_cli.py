@@ -113,6 +113,13 @@ def test_bad_group_is_config_error(capsys):
     assert "builtin" in err
 
 
+def test_negative_length_is_config_error(capsys):
+    for group, kind in (("z2", "smean"), ("z3", "smean"), ("zxz2", "mean"), ("z2", "D")):
+        code, _, err = run_cli(capsys, "dehn", "--group", group, "--kind", kind, "--n", "-1")
+        assert code == 2
+        assert "--n" in err
+
+
 def test_budget_exhaustion_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "dehn", "--group", "z2", "--kind", "smean", "--n", "40", "--exact"
@@ -185,3 +192,11 @@ def test_installed_console_script():
     proc = subprocess.run(["dehnlab", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("dehnlab ")
+
+
+def test_threads_flag_rejected(capsys):
+    # the worker-cap flag was never read, so the parser no longer offers it
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--group", "z2", "--n", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

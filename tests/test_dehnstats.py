@@ -1,11 +1,14 @@
 import json
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dehnlab import (
     bound_fit,
+    builtin_presentation,
     dehn_exact,
     h_split_holds,
     h_split_holds_ceil,
@@ -22,11 +25,41 @@ from dehnlab import (
     smean_sampled,
     walk_counts,
 )
-from dehnlab.dehnstats import DehnReport, closed_level_stats, iter_closed_codes
+from dehnlab.area import _area_z2_codes
+from dehnlab.dehnstats import (
+    DEFAULT_DP_BUDGET,
+    DehnReport,
+    _dp_dtype,
+    _dp_work,
+    _z2_level_sums,
+    _z2_staircase_table,
+    closed_level_stats,
+    iter_closed_codes,
+    level_sums,
+)
+from dehnlab.errors import BudgetError
+from dehnlab.words import enumerate_code_tuples
 
-# frozen from osmean_exact(z2, staircase, 12): the full 4^12 enumeration
-# takes about forty seconds and is exercised live at smaller n below
+# agreed on by the winding DP and by the full 4^12 enumeration
 OSMEAN_Z2_N12 = Fraction(843903, 262144)
+# Regression pins beyond the reach of enumeration: checked only against a
+# second, independently written winding DP, never by listing words.
+SMEAN_Z2_N16 = Fraction(16711976, 8281845)
+SMEAN_Z2_N20 = Fraction(338481430, 125495513)
+OSMEAN_Z2_N16 = Fraction(2425584311, 536870912)
+
+
+def _enumerated_staircase_table(n):
+    """Per-endpoint [count, open-area sum] by listing all 4^n words."""
+    out = {}
+    for codes in enumerate_code_tuples(2, n):
+        x = codes.count(1) - codes.count(-1)
+        y = codes.count(2) - codes.count(-2)
+        back = (-2 if y > 0 else 2,) * abs(y) + (-1 if x > 0 else 1,) * abs(x)
+        entry = out.setdefault((x, y), [0, 0])
+        entry[0] += 1
+        entry[1] += _area_z2_codes(codes + back)
+    return out
 
 
 def test_dehn_exact_values(z2):
@@ -142,6 +175,59 @@ def test_osmean_by_endpoint_decomposition(z2, st2):
     assert osmean_by_endpoint(z2, st2, 5) == osmean_by_endpoint(z2, bfs, 5)
 
 
+def test_winding_dp_matches_enumeration(z2, st2):
+    # smean, mean and lazy-mean at n are all read from level_sums(p, n)
+    levels = [closed_level_stats(z2, t)[:2] for t in range(11)]
+    for n in range(11):
+        assert level_sums(z2, n) == levels[: n + 1]
+        table = _enumerated_staircase_table(n)
+        assert osmean_by_endpoint(z2, st2, n) == {z2.canonical_form(v): e for v, e in table.items()}
+        total = sum(s for _, s in table.values())
+        assert osmean_exact(z2, st2, n).value == Fraction(total, 4**n)
+
+
+def test_osmean_n12_live(z2, st2):
+    t0 = time.perf_counter()
+    assert osmean_exact(z2, st2, 12).value == OSMEAN_Z2_N12
+    assert time.perf_counter() - t0 < 2
+
+
+def test_pins_beyond_enumeration(z2, st2):
+    assert smean_exact(z2, 16).value == SMEAN_Z2_N16
+    assert smean_exact(z2, 20).value == SMEAN_Z2_N20
+    assert osmean_exact(z2, st2, 16).value == OSMEAN_Z2_N16
+
+
+def test_dp_budget(z2, st2):
+    # the default admits smean to n = 32 and osmean to n = 16 ...
+    assert all(_dp_work(max(n // 2, 1), n) <= DEFAULT_DP_BUDGET for n in range(33))
+    assert all(_dp_work(max(n, 1), n) <= DEFAULT_DP_BUDGET for n in range(17))
+    # ... and refuses smean at n = 40 and osmean at n = 30 before any work
+    with pytest.raises(BudgetError):
+        smean_exact(z2, 40)
+    with pytest.raises(BudgetError):
+        osmean_exact(z2, st2, 30)
+    with pytest.raises(BudgetError):
+        level_sums(z2, 10, budget=1000)
+
+
+def test_dp_python_int_path_matches_int64():
+    # past n = 32 the DP counts in exact Python ints; both agree where both fit
+    assert _dp_dtype(32) is np.int64 and _dp_dtype(34) is object
+    assert _z2_level_sums(12, dtype=object) == _z2_level_sums(12, dtype=np.int64)
+    c64, s64, _ = _z2_staircase_table(8, dtype=np.int64)
+    cob, sob, _ = _z2_staircase_table(8, dtype=object)
+    assert c64.tolist() == cob.tolist() and s64.tolist() == sob.tolist()
+
+
+def test_level_stats_keyed_on_every_oracle_argument():
+    # results for one oracle budget must not be served for another
+    p = builtin_presentation("zxz2")
+    assert closed_level_stats(p, 4) == (70, 52, 2)
+    with pytest.raises(BudgetError):
+        closed_level_stats(p, 4, max_expansions=0)
+
+
 def test_relation_check(z2):
     rows = relation_check(z2, 10)
     assert all(r.ok for r in rows)
@@ -164,10 +250,11 @@ def test_sampled_smean_agrees_with_exact(z2, st2):
     assert abs(rep.estimate - float(Fraction(2, 9))) <= 3 * stderr
 
 
-def test_sampled_osmean_n12_agrees_with_frozen_exact(z2, st2):
+def test_sampled_osmean_n12_agrees_with_exact(z2, st2):
+    exact = osmean_exact(z2, st2, 12).value
     rep = osmean_sampled(z2, st2, 12, 20_000, seed=7171)
     stderr = (rep.ci_high - rep.ci_low) / (2 * 1.96)
-    assert abs(rep.estimate - float(OSMEAN_Z2_N12)) <= 3 * stderr
+    assert abs(rep.estimate - float(exact)) <= 3 * stderr
 
 
 def test_smean_sampled_odd_is_exact_zero(z2, st2):

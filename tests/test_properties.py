@@ -1,0 +1,76 @@
+"""Property tests: the winding DP against enumeration, and symmetries of area on Z^2."""
+
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dehnlab import (
+    Word,
+    area_exact_z2,
+    builtin_presentation,
+    close_path,
+    enumerate_words,
+    make_combing,
+    osmean_by_endpoint,
+    osmean_exact,
+)
+from dehnlab.dehnstats import closed_level_stats, level_sums
+
+Z2 = builtin_presentation("z2")
+STAIRCASE = make_combing(Z2, "staircase")
+
+
+@given(st.integers(0, 10))
+def test_dp_level_sums_match_enumeration(n):
+    assert level_sums(Z2, n) == [closed_level_stats(Z2, t)[:2] for t in range(n + 1)]
+
+
+@given(st.integers(0, 8))
+def test_dp_osmean_matches_close_path_enumeration(n):
+    table: dict = {}
+    for w in enumerate_words(2, n):
+        entry = table.setdefault(Z2.canonical_of_word(w), [0, 0])
+        entry[0] += 1
+        entry[1] += area_exact_z2(close_path(STAIRCASE, w))
+    assert osmean_by_endpoint(Z2, STAIRCASE, n) == table
+    total = sum(s for _, s in table.values())
+    assert osmean_exact(Z2, STAIRCASE, n).value == Fraction(total, 4**n)
+
+
+@st.composite
+def closed_z2_words(draw):
+    """A random Z^2 path closed by an arbitrary reordering of its return."""
+    codes = draw(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=24))
+    x = codes.count(1) - codes.count(-1)
+    y = codes.count(2) - codes.count(-2)
+    back = [-1 if x > 0 else 1] * abs(x) + [-2 if y > 0 else 2] * abs(y)
+    return tuple(codes) + tuple(draw(st.permutations(back)))
+
+
+# The 8 symmetries of the square as letter maps: (swap the axes, sign of a, sign of b).
+SQUARE_SYMMETRIES = [(swap, sa, sb) for swap in (False, True) for sa in (1, -1) for sb in (1, -1)]
+
+
+def _apply(sym, codes):
+    swap, sa, sb = sym
+    out = []
+    for c in codes:
+        axis = abs(c)
+        sign = (1 if c > 0 else -1) * (sa if axis == 1 else sb)
+        out.append(sign * ((3 - axis) if swap else axis))
+    return tuple(out)
+
+
+@given(closed_z2_words(), st.integers(0, 64))
+def test_z2_area_invariant_under_rotation_and_inversion(codes, shift):
+    area = area_exact_z2(Word(codes))
+    k = shift % len(codes) if codes else 0
+    assert area_exact_z2(Word(codes[k:] + codes[:k])) == area
+    assert area_exact_z2(Word(tuple(-c for c in reversed(codes)))) == area
+
+
+@given(closed_z2_words())
+def test_z2_area_invariant_under_square_symmetries(codes):
+    area = area_exact_z2(Word(codes))
+    assert {area_exact_z2(Word(_apply(sym, codes))) for sym in SQUARE_SYMMETRIES} == {area}
