@@ -28,8 +28,6 @@ from .cogrowth import (
     closed_walk_series_z2,
     f_recurrence,
     grigorchuk_beta,
-    series_compose,
-    series_mul,
     series_rational_expand,
     sharp_ratio_report,
     sharp_sigma,
@@ -41,7 +39,6 @@ from .combing import (
     StaircaseCombing,
     close_path,
     comb_between,
-    comb_to,
     make_combing,
 )
 from .counting import (
@@ -90,8 +87,6 @@ from .presentation import (
     cyclic,
     format_vertex,
     free_abelian,
-    group_length,
-    is_identity,
     load_presentation,
     load_presentation_text,
     resolve_group,

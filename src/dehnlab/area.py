@@ -52,12 +52,14 @@ class WindingField:
         return sum(abs(v) for v in self.cells.values())
 
 
-def _column_events(codes):
-    """Signed horizontal-crossing events of a Z^2 path, keyed (column, height).
+def _area_z2_codes(codes, cells: dict | None = None) -> int:
+    """Winding area of a closed Z^2 code sequence: sum of |winding| over cells.
 
-    A rightward traversal of the edge (u,v)-(u+1,v) contributes +1 to every
-    cell (u, y) with y >= v, a leftward one -1; events record the deltas.
-    Raises unless the path is closed and uses only the two generators.
+    A rightward traversal of the edge (u,v)-(u+1,v) adds +1 to the winding of
+    every cell (u, y) with y >= v, a leftward one -1; the events are summed
+    per column from the bottom up. If `cells` is given, the nonzero winding of
+    each cell is stored in it, keyed by the cell's lower-left corner. Raises
+    unless the path is closed and uses only the two generators.
     """
     x = y = 0
     ev: dict[tuple[int, int], int] = {}
@@ -78,14 +80,6 @@ def _column_events(codes):
             raise ValueError(f"letter code {c} is not a Z^2 generator")
     if x or y:
         raise ValueError("word is not closed in Z^2")
-    return ev
-
-
-def _area_z2_codes(codes) -> int:
-    """Winding area of a closed Z^2 code sequence: sum of |winding| over cells."""
-    ev = _column_events(codes)
-    if not ev:
-        return 0
     total = 0
     cur_col = None
     running = 0
@@ -96,6 +90,9 @@ def _area_z2_codes(codes) -> int:
             running = 0
         elif running:
             total += abs(running) * (v - prev_v)
+            if cells is not None:
+                for h in range(prev_v, v):
+                    cells[(u, h)] = running
         running += d
         prev_v = v
     return total
@@ -105,20 +102,8 @@ def winding_field(w: Word) -> WindingField:
     """Winding number of every unit cell with respect to the closed loop of w."""
     if w.lazy:
         raise ValueError("paths are non-lazy words")
-    ev = _column_events(w.codes)
     cells: dict[tuple[int, int], int] = {}
-    cur_col = None
-    running = 0
-    prev_v = 0
-    for (u, v), d in sorted(ev.items()):
-        if u != cur_col:
-            cur_col = u
-            running = 0
-        elif running:
-            for y in range(prev_v, v):
-                cells[(u, y)] = running
-        running += d
-        prev_v = v
+    _area_z2_codes(w.codes, cells)
     return WindingField(cells)
 
 

@@ -129,14 +129,6 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    return outer.compose(inner)
-
-
 def series_rational_expand(num, den, order: int) -> TruncatedSeries:
     """Expand num(t)/den(t) to the given order; den must have unit constant term."""
     n = TruncatedSeries.from_poly(num, order)

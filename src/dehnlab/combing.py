@@ -21,6 +21,7 @@ class GeodesicCombing:
         self.p = p
 
     def comb_to(self, v: CanonicalForm) -> Word:
+        """The geodesic word T[e, v]."""
         raise NotImplementedError
 
 
@@ -90,11 +91,6 @@ def make_combing(p: AbelianPresentation, kind: str = "staircase") -> GeodesicCom
     if kind == "bfs-lex":
         return BfsLexCombing(p)
     raise ValueError(f"unknown combing kind {kind!r}; expected one of {COMBING_KINDS}")
-
-
-def comb_to(c: GeodesicCombing, v: CanonicalForm) -> Word:
-    """The geodesic word T[e, v]."""
-    return c.comb_to(v)
 
 
 def comb_between(c: GeodesicCombing, u: CanonicalForm, v: CanonicalForm) -> Word:

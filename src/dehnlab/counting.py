@@ -2,7 +2,7 @@
 
 All counts are arbitrary-precision integers; probabilities appear only at
 the reporting edge. Sampling uses numpy's PCG64 generator seeded through
-SeedSequence, with worker streams derived by spawning.
+SeedSequence.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import BudgetError
 from .presentation import AbelianPresentation, CanonicalForm
 from .words import Word
 
-RNG_ALGORITHM = "numpy PCG64 via SeedSequence(seed); worker streams by spawn()"
+RNG_ALGORITHM = "numpy PCG64 via SeedSequence(seed)"
 
 # Certified constants from the one-dimensional tail estimate and its Z^r lift.
 TAIL_K_1D = 1.35
@@ -29,11 +29,6 @@ DEFAULT_STATE_BUDGET = 5_000_000
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def spawn_rngs(seed: int, k: int) -> list[np.random.Generator]:
-    """k independent child streams, reproducible from the parent seed."""
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(k)]
 
 
 @dataclass(frozen=True)
@@ -279,13 +274,15 @@ def sample_letter_matrix(
     return rng.integers(0, 2 * r, size=(count, n), dtype=np.int16)
 
 
-def slots_to_codes(slots) -> tuple[int, ...]:
-    return tuple(int(s) // 2 + 1 if int(s) % 2 == 0 else -(int(s) // 2 + 1) for s in slots)
+def slots_to_codes(slots: np.ndarray) -> np.ndarray:
+    """Letter codes of a slot array, elementwise: slot 2k -> k+1, slot 2k+1 -> -(k+1)."""
+    table = np.arange(1, int(slots.max(initial=0)) // 2 + 2, dtype=slots.dtype).repeat(2)
+    table[1::2] *= -1
+    return table[slots]
 
 
 def sample_words(r: int, n: int, count: int, seed: int) -> Iterator[Word]:
     """`count` uniform length-n words, bit-reproducible from the seed."""
     rng = make_rng(seed)
-    mat = sample_letter_matrix(r, n, count, rng)
-    for row in mat:
-        yield Word(slots_to_codes(row))
+    for row in slots_to_codes(sample_letter_matrix(r, n, count, rng)):
+        yield Word(row)

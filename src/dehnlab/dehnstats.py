@@ -19,7 +19,7 @@ import numpy as np
 
 from .area import AreaResult, _area_z2_codes, area_oracle
 from .combing import GeodesicCombing, close_path
-from .counting import make_rng
+from .counting import make_rng, sample_letter_matrix, slots_to_codes
 from .errors import BudgetError
 from .presentation import AbelianPresentation
 from .words import Word, enumerate_code_tuples, sphere_size
@@ -183,7 +183,9 @@ def _area_engine(p: AbelianPresentation, engine: str = "auto", **oracle_kw):
     return oracle_area
 
 
-def _check_enum_budget(p: AbelianPresentation, n: int, budget: int) -> None:
+def _check_enum_budget(p: AbelianPresentation, n: int, budget: int | None) -> None:
+    if budget is None:
+        budget = DEFAULT_ENUM_BUDGET
     if sphere_size(p.r, n) > budget:
         raise BudgetError(
             f"enumeration of ({2 * p.r})^{n} words exceeds budget {budget}"
@@ -195,14 +197,14 @@ def closed_level_stats(
     n: int,
     *,
     engine: str = "auto",
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int | None = None,
     **oracle_kw,
 ) -> tuple[int, int, int]:
     """(count, area sum, area max) over the closed words of length exactly n.
 
     Pruned enumeration: the route for D(n), whose maximum does not split per
     cell, for presentations other than standard Z^2, and the test oracle for
-    the winding DP.
+    the winding DP. The budget counts words (default DEFAULT_ENUM_BUDGET).
     """
     _check_enum_budget(p, n, budget)
     area = _area_engine(p, engine, **oracle_kw)
@@ -357,8 +359,6 @@ def level_sums(
     """
     if p.is_standard_free and p.r == 2:
         return _z2_level_sums(n_max, budget)
-    if budget is None:
-        budget = DEFAULT_ENUM_BUDGET
     return [
         closed_level_stats(p, t, budget=budget, **oracle_kw)[:2] for t in range(n_max + 1)
     ]
@@ -383,8 +383,16 @@ def _smean(count: int, asum: int) -> Fraction:
 
 
 def smean_exact(p: AbelianPresentation, n: int, **kw) -> DehnReport:
-    """Exact spherical mean; zero by convention when the sphere is empty."""
-    return DehnReport(n=n, kind=KIND_SMEAN, value=_smean(*level_sums(p, n, **kw)[n]))
+    """Exact spherical mean; zero by convention when the sphere is empty.
+
+    Standard Z^2 reads level n off one DP pass; elsewhere only the closed
+    words of length n are enumerated.
+    """
+    if p.is_standard_free and p.r == 2:
+        level = level_sums(p, n, **kw)[n]
+    else:
+        level = closed_level_stats(p, n, **kw)[:2]
+    return DehnReport(n=n, kind=KIND_SMEAN, value=_smean(*level))
 
 
 def mean_exact(p: AbelianPresentation, n: int, **kw) -> DehnReport:
@@ -433,7 +441,6 @@ def osmean_exact(
     else:
         if budget is None:
             budget = DEFAULT_ENUM_BUDGET
-        _check_enum_budget(p, n, budget)
         area = _area_engine(p, "auto", **kw)
         total = 0
         for codes in enumerate_code_tuples(p.r, n, budget=budget):
@@ -466,7 +473,6 @@ def osmean_by_endpoint(
         }
     if budget is None:
         budget = DEFAULT_ENUM_BUDGET
-    _check_enum_budget(p, n, budget)
     area = _area_engine(p, "auto", **kw)
     out: dict = {}
     for codes in enumerate_code_tuples(p.r, n, budget=budget):
@@ -486,59 +492,12 @@ def osmean_by_endpoint(
 # -- sampling ---------------------------------------------------------------------
 
 
+_Z2_CODES = np.array([1, -1, 2, -2], dtype=np.int16)
+
+
 def _require_sampling_support(p: AbelianPresentation) -> None:
     if not (p.is_standard_free and p.r == 2):
         raise ValueError("samplers are implemented for the standard Z^2 presentation")
-
-
-def _open_area_z2_slots(slots, close_codes) -> int:
-    """Winding area of a slot row (0:a 1:a^-1 2:b 3:b^-1) plus a closing word."""
-    x = y = 0
-    ev: dict[tuple[int, int], int] = {}
-    get = ev.get
-    for s in slots:
-        if s == 0:
-            key = (x, y)
-            ev[key] = get(key, 0) + 1
-            x += 1
-        elif s == 1:
-            x -= 1
-            key = (x, y)
-            ev[key] = get(key, 0) - 1
-        elif s == 2:
-            y += 1
-        else:
-            y -= 1
-    for c in close_codes:
-        if c == 1:
-            key = (x, y)
-            ev[key] = get(key, 0) + 1
-            x += 1
-        elif c == -1:
-            x -= 1
-            key = (x, y)
-            ev[key] = get(key, 0) - 1
-        elif c == 2:
-            y += 1
-        else:
-            y -= 1
-    if x or y:
-        raise ValueError("closing word does not close the path")
-    if not ev:
-        return 0
-    total = 0
-    cur_col = None
-    running = 0
-    prev_v = 0
-    for (u, v), d in sorted(ev.items()):
-        if u != cur_col:
-            cur_col = u
-            running = 0
-        elif running:
-            total += abs(running) * (v - prev_v)
-        running += d
-        prev_v = v
-    return total
 
 
 def _mean_report(kind, n, areas, seed, combing) -> DehnReport:
@@ -568,20 +527,18 @@ def osmean_sampled(
 ) -> DehnReport:
     """Unbiased Monte Carlo estimate of the open spherical mean."""
     _require_sampling_support(p)
-    rng = make_rng(seed)
-    mat = rng.integers(0, 4, size=(samples, n), dtype=np.int16)
-    dx = ((mat == 0).sum(axis=1) - (mat == 1).sum(axis=1)).tolist()
-    dy = ((mat == 2).sum(axis=1) - (mat == 3).sum(axis=1)).tolist()
-    close_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+    codes = slots_to_codes(sample_letter_matrix(2, n, samples, make_rng(seed)))
+    dx = ((codes == 1).sum(axis=1) - (codes == -1).sum(axis=1)).tolist()
+    dy = ((codes == 2).sum(axis=1) - (codes == -2).sum(axis=1)).tolist()
+    close_cache: dict[tuple[int, int], list[int]] = {}
     areas = np.empty(samples, dtype=np.float64)
     for i in range(samples):
         key = (dx[i], dy[i])
         close = close_cache.get(key)
         if close is None:
-            cf = p.canonical_form(key)
-            close = c.comb_to(cf).inverse().codes
+            close = list(c.comb_to(p.canonical_form(key)).inverse().codes)
             close_cache[key] = close
-        areas[i] = _open_area_z2_slots(mat[i].tolist(), close)
+        areas[i] = _area_z2_codes(codes[i].tolist() + close)
     return _mean_report(KIND_OSMEAN, n, areas, seed, c.kind)
 
 
@@ -621,9 +578,9 @@ def smean_sampled(
             if got >= samples:
                 break
             k, m = int(row[0]), int(row[2])
-            slots = np.repeat(np.arange(4, dtype=np.int16), [k, k, m, m])
-            rng.shuffle(slots)
-            areas[got] = _open_area_z2_slots(slots.tolist(), ())
+            codes = np.repeat(_Z2_CODES, [k, k, m, m])
+            rng.shuffle(codes)
+            areas[got] = _area_z2_codes(codes.tolist())
             got += 1
     return _mean_report(KIND_SMEAN, n, areas, seed, c.kind)
 

@@ -277,14 +277,6 @@ class AbelianPresentation:
         )
 
 
-def group_length(p: AbelianPresentation, g: CanonicalForm, radius_cap: int) -> int:
-    return p.group_length(g, radius_cap)
-
-
-def is_identity(p: AbelianPresentation, w: Word) -> bool:
-    return p.is_identity(w)
-
-
 def format_vertex(g: CanonicalForm) -> str:
     """Serialize a canonical form: `(3,-2)`, or `(5;1)` with torsion residues."""
     free = ",".join(str(x) for x in g.free_part)

@@ -109,9 +109,7 @@ def test_area_open_examples(z2, st2):
     assert area_open(z2, st2, W("a1 a2")) == AreaResult.of(0)
     assert area_open(z2, st2, W("a2 a1")) == AreaResult.of(1)
     for v in [(2, 3), (-4, 1)]:
-        from dehnlab import comb_to
-
-        g = comb_to(st2, z2.canonical_form(v))
+        g = st2.comb_to(z2.canonical_form(v))
         assert area_open(z2, st2, g).upper == 0
 
 
@@ -123,10 +121,8 @@ def test_area_closed_at(z2, st2):
     r = area_closed_at(z2, st2, W("a2 a1 A2 A1"), z2.canonical_form((1, 0)))
     assert r == AreaResult.of(1)
     # oracle cross-check at small offsets
-    from dehnlab import comb_to
-
     for v in [(1, 0), (0, 1), (1, 1)]:
-        t = comb_to(st2, z2.canonical_form(v))
+        t = st2.comb_to(z2.canonical_form(v))
         conj = t * w * t.inverse()
         assert area_oracle(z2, conj) == 1
     with pytest.raises(ValueError):
@@ -147,10 +143,8 @@ def test_area_upper_dc_bounds(z2, st2):
 
 
 def test_area_upper_dc_geodesics(z2, st2):
-    from dehnlab import comb_to
-
     for v in [(6, 5), (-7, 2), (0, 9)]:
-        g = comb_to(st2, z2.canonical_form(v))
+        g = st2.comb_to(z2.canonical_form(v))
         assert area_upper_dc(z2, st2, g, leaf_size=2) == 0
 
 

@@ -7,7 +7,6 @@ from dehnlab import (
     area_exact_z2,
     close_path,
     comb_between,
-    comb_to,
     length_A,
     make_combing,
 )
@@ -16,9 +15,9 @@ from conftest import W
 
 
 def test_staircase_examples(z2, st2):
-    assert comb_to(st2, z2.canonical_form((2, 1))).tokens() == "a1 a1 a2"
-    assert comb_to(st2, z2.canonical_form((0, 0))).codes == ()
-    assert comb_to(st2, z2.canonical_form((-1, 2))).tokens() == "A1 a2 a2"
+    assert st2.comb_to(z2.canonical_form((2, 1))).tokens() == "a1 a1 a2"
+    assert st2.comb_to(z2.canonical_form((0, 0))).codes == ()
+    assert st2.comb_to(z2.canonical_form((-1, 2))).tokens() == "A1 a2 a2"
 
 
 def test_staircase_needs_standard_free(z10):
@@ -45,7 +44,7 @@ def test_geodesy_on_z2_ball(z2, kind):
             if abs(x) + abs(y) > 20:
                 continue
             v = z2.canonical_form((x, y))
-            w = comb_to(comb, v)
+            w = comb.comb_to(v)
             assert length_A(w) == z2.group_length(v, 20)
             assert z2.canonical_of_word(w) == v
 
@@ -57,7 +56,7 @@ def test_geodesy_bfs_lex_general(name):
     p = builtin_presentation(name)
     comb = make_combing(p, "bfs-lex")
     for g, ell in p.length_table(9).items():
-        w = comb_to(comb, g)
+        w = comb.comb_to(g)
         assert length_A(w) == ell
         assert p.canonical_of_word(w) == g
 
@@ -67,7 +66,7 @@ def test_translation_identity(z2, st2):
     for _ in range(1000):
         u = z2.canonical_form((rng.randint(-8, 8), rng.randint(-8, 8)))
         v = z2.canonical_form((rng.randint(-8, 8), rng.randint(-8, 8)))
-        direct = comb_to(st2, z2.compose(z2.inverse_cf(u), v))
+        direct = st2.comb_to(z2.compose(z2.inverse_cf(u), v))
         assert comb_between(st2, u, v).codes == direct.codes
 
 
@@ -77,7 +76,7 @@ def test_close_path_examples(z2, st2):
     loop = W("a1 a2 A1 A2")
     assert close_path(st2, loop).codes == loop.codes
     for v in [(3, 2), (-1, 4), (0, -5)]:
-        g = comb_to(st2, z2.canonical_form(v))
+        g = st2.comb_to(z2.canonical_form(v))
         assert area_exact_z2(close_path(st2, g)) == 0
 
 
@@ -105,4 +104,4 @@ def test_bfs_lex_equals_staircase_on_z2(z2, st2):
             if abs(x) + abs(y) > 8:
                 continue
             v = z2.canonical_form((x, y))
-            assert comb_to(bfs, v).codes == comb_to(st2, v).codes
+            assert bfs.comb_to(v).codes == st2.comb_to(v).codes

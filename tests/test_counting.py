@@ -19,7 +19,7 @@ from dehnlab import (
     tail_report_sampled_zr,
     walk_counts,
 )
-from dehnlab.counting import endpoint_samples_zr, spawn_rngs, tail_fraction_exact_1d_holds
+from dehnlab.counting import endpoint_samples_zr, tail_fraction_exact_1d_holds
 
 
 def test_walk_counts_examples(z2):
@@ -208,12 +208,3 @@ def test_endpoint_sampler_matches_walk_moments():
     ) / t.total()
     stderr = float(np.std(short)) / math.sqrt(len(short))
     assert abs(float(np.mean(short)) - exact_mean) <= 4 * stderr
-
-
-def test_spawn_rngs_are_stable_and_distinct():
-    a = spawn_rngs(9, 3)
-    b = spawn_rngs(9, 3)
-    xs = [g.integers(0, 1 << 30) for g in a]
-    ys = [g.integers(0, 1 << 30) for g in b]
-    assert xs == ys
-    assert len(set(int(x) for x in xs)) > 1

@@ -97,6 +97,12 @@ def test_smean_odd_zero_for_even_relators(z2, zxz2):
             assert smean_exact(p, n).value == 0
 
 
+def test_smean_reads_only_its_own_level(zxz2):
+    # Level 7 of zxz2 is empty, so no area is needed; the oracle would run out
+    # of expansions on the level-4 word (1, 2, -1, 2).
+    assert smean_exact(zxz2, 7, max_expansions=0).value == 0
+
+
 def test_mean_values(z2):
     assert mean_exact(z2, 4).value == Fraction(8, 41)
     assert mean_exact(z2, 0).value == 0
@@ -271,6 +277,11 @@ def test_sampled_reports_are_deterministic(z2, st2):
     d = smean_sampled(z2, st2, 6, 2_000, seed=42)
     e = smean_sampled(z2, st2, 6, 2_000, seed=42)
     assert d.estimate == e.estimate
+    # Frozen seeded values: a change of sampling stream must be declared.
+    assert a.estimate == 1.361
+    assert d.estimate == 0.476
+    assert osmean_sampled(z2, st2, 256, 300, seed=12).estimate == 95.85333333333334
+    assert smean_sampled(z2, st2, 256, 300, seed=12).estimate == 53.656666666666666
 
 
 def test_sampling_requires_standard_z2(z10):

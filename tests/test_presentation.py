@@ -11,8 +11,6 @@ from dehnlab import (
     cyclic,
     format_vertex,
     free_abelian,
-    group_length,
-    is_identity,
     load_presentation_text,
     resolve_group,
     smith_normal_form,
@@ -90,9 +88,9 @@ def test_format_vertex():
 
 def test_group_length_examples(z10, z5, z2):
     w = W("a1 a1 A1 a1 a1 a1")
-    assert group_length(z10, z10.canonical_of_word(w), 6) == 4
-    assert group_length(z5, z5.canonical_of_word(w), 6) == 1
-    assert group_length(z2, z2.canonical_form((3, -2)), 10) == 5
+    assert z10.group_length(z10.canonical_of_word(w), 6) == 4
+    assert z5.group_length(z5.canonical_of_word(w), 6) == 1
+    assert z2.group_length(z2.canonical_form((3, -2)), 10) == 5
 
 
 def test_group_length_cap(zxz2):
@@ -102,9 +100,9 @@ def test_group_length_cap(zxz2):
 
 
 def test_is_identity(z2, z10):
-    assert is_identity(z2, W("a1 a2 A1 A2"))
-    assert is_identity(z10, Word((1,) * 10))
-    assert not is_identity(z2, W("a1 a2"))
+    assert z2.is_identity(W("a1 a2 A1 A2"))
+    assert z10.is_identity(Word((1,) * 10))
+    assert not z2.is_identity(W("a1 a2"))
 
 
 @pytest.mark.parametrize("name", ["z10", "zxz2"])

@@ -1,4 +1,4 @@
-"""Property tests: the winding DP against enumeration, and symmetries of area on Z^2."""
+"""Property tests: the winding DP against enumeration, and area on Z^2 (symmetries, winding field)."""
 
 from fractions import Fraction
 
@@ -14,6 +14,7 @@ from dehnlab import (
     make_combing,
     osmean_by_endpoint,
     osmean_exact,
+    winding_field,
 )
 from dehnlab.dehnstats import closed_level_stats, level_sums
 
@@ -74,3 +75,8 @@ def test_z2_area_invariant_under_rotation_and_inversion(codes, shift):
 def test_z2_area_invariant_under_square_symmetries(codes):
     area = area_exact_z2(Word(codes))
     assert {area_exact_z2(Word(_apply(sym, codes))) for sym in SQUARE_SYMMETRIES} == {area}
+
+
+@given(closed_z2_words())
+def test_winding_field_mass_is_the_area(codes):
+    assert winding_field(Word(codes)).l1() == area_exact_z2(Word(codes))
