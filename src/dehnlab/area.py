@@ -1,7 +1,7 @@
 """Filling areas of closed and open lattice words.
 
 Two independent routes to the area of a closed word are kept deliberately
-separate: an exact winding-number engine for the standard Z^2 presentation,
+separate: an exact winding-number formula for the standard Z^2 presentation,
 and a brute-force A* search over relator insertions that works for any
 presentation. The winding formula is treated as a derived identity; the
 oracle-agreement test suite is what certifies it.
@@ -324,41 +324,25 @@ def _fill_info(relators, r: int):
     """
     power_of: dict[int, int] = {}
     pairs = set()
-    ok = True
     for rel in relators:
         core = _cyclic_reduce(reduce_codes(rel.codes))
         if not core:
             continue
-        gens = {abs(c) for c in core}
-        if len(gens) == 1 and len({c for c in core}) == 1:
-            i = gens.pop()
-            m = len(core)
+        if len(set(core)) == 1:
+            i, m = abs(core[0]), len(core)
             power_of[i] = min(power_of.get(i, m), m)
-        elif len(core) == 4:
-            i, j = abs(core[0]), abs(core[1])
-            target = None
-            if i != j:
-                comm = (i, j, -i, -j)
-                variants = {comm[k:] + comm[:k] for k in range(4)}
-                inv = tuple(-c for c in reversed(comm))
-                variants |= {inv[k:] + inv[:k] for k in range(4)}
-                swapped = (j, i, -j, -i)
-                variants |= {swapped[k:] + swapped[:k] for k in range(4)}
-                inv2 = tuple(-c for c in reversed(swapped))
-                variants |= {inv2[k:] + inv2[:k] for k in range(4)}
-                if core in variants:
-                    target = frozenset((i, j))
-            if target is None:
-                ok = False
-                break
-            pairs.add(target)
+        # every rotation and inversion of a commutator reads x y x^-1 y^-1
+        elif (
+            len(core) == 4
+            and core[2] == -core[0]
+            and core[3] == -core[1]
+            and abs(core[0]) != abs(core[1])
+        ):
+            pairs.add(frozenset((abs(core[0]), abs(core[1]))))
         else:
-            ok = False
-            break
-    if ok and r >= 2:
-        needed = {frozenset((i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
-        ok = needed <= pairs
-    return power_of if ok else None
+            return None
+    needed = {frozenset((i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
+    return power_of if needed <= pairs else None
 
 
 def _sort_fill_upper(p: AbelianPresentation, codes):

@@ -103,6 +103,8 @@ def cmd_area(args) -> int:
 
 def cmd_count(args) -> int:
     p = resolve_group(args.group)
+    if args.n < 0:
+        raise ValueError("--n must be non-negative")
     fn = nonbacktracking_counts if args.nonbacktracking else walk_counts
     table = fn(p, args.n)
     items = sorted(table.counts.items(), key=lambda kv: (kv[0].free_part, kv[0].torsion_part))
@@ -112,6 +114,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_cogrowth(args) -> int:
+    if args.n_max < 0:
+        raise ValueError("--n-max must be non-negative")
     n_half = args.n_max // 2
     fs = f_recurrence(n_half)
     rows = []
@@ -129,6 +133,8 @@ def cmd_dehn(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be non-negative")
     sampled = args.samples is not None
+    if sampled and args.samples < 1:
+        raise ValueError("--samples must be positive")
     if sampled and args.seed is None:
         raise ValueError("--seed is required whenever sampling is requested")
     needs_combing = args.kind in ("osmean",) or sampled
@@ -163,22 +169,13 @@ def cmd_dehn(args) -> int:
     if args.emit == "json":
         _emit(args, _canonical_config(args), [], d, payload_key="report")
     else:
-        flat = {
-            "n": d["n"],
-            "kind": d["kind"],
-            "value": d["value"] if isinstance(d["value"], str) else None,
-            "estimate": None if isinstance(d["value"], str) else d["value"]["estimate"],
-            "ci_low": None if isinstance(d["value"], str) else d["value"]["ci_low"],
-            "ci_high": None if isinstance(d["value"], str) else d["value"]["ci_high"],
-            "samples": None if isinstance(d["value"], str) else d["value"]["samples"],
-            "seed": None if isinstance(d["value"], str) else d["value"]["seed"],
-            "normalized": d["normalized"],
-        }
+        # an estimate's fields fill their own columns and leave value empty
+        row = {**d, **d["value"], "value": None} if isinstance(d["value"], dict) else d
         _emit(
             args,
             _canonical_config(args),
             ["n", "kind", "value", "estimate", "ci_low", "ci_high", "samples", "seed", "normalized"],
-            [flat],
+            [row],
         )
     return EXIT_OK
 

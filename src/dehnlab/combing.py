@@ -99,11 +99,11 @@ def comb_between(c: GeodesicCombing, u: CanonicalForm, v: CanonicalForm) -> Word
     return c.comb_to(p.compose(p.inverse_cf(u), v))
 
 
-def close_path(c: GeodesicCombing, gamma: Word, base: CanonicalForm | None = None) -> Word:
+def close_path(c: GeodesicCombing, gamma: Word) -> Word:
     """Close an open path: gamma followed by the reversed combing word.
 
-    Returns gamma * T[start, end]^-1, a closed word at the base vertex; the
-    combing word depends only on the displacement, so the base is optional.
+    Returns gamma * T[e, v]^-1, v the endpoint of gamma: a closed word. The
+    combing word depends only on the displacement, so no base vertex is needed.
     """
     if gamma.lazy:
         raise ValueError("paths are non-lazy words")

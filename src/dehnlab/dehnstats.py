@@ -17,12 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .area import AreaResult, _area_z2_codes, area_oracle
-from .combing import GeodesicCombing, close_path
+from .area import DEFAULT_ORACLE_EXPANSIONS, AreaResult, _area_z2_codes, area_oracle
+from .combing import GeodesicCombing
 from .counting import make_rng, sample_letter_matrix, slots_to_codes
 from .errors import BudgetError
 from .presentation import AbelianPresentation
-from .words import Word, enumerate_code_tuples, sphere_size
+from .words import Word, check_enumeration_budget, enumerate_code_tuples, sphere_size
 
 KIND_D = "D"
 KIND_MEAN = "mean"
@@ -30,7 +30,6 @@ KIND_SMEAN = "smean"
 KIND_OSMEAN = "osmean"
 KIND_LAZY_MEAN = "lazy-mean"
 
-DEFAULT_ENUM_BUDGET = 2**26
 DEFAULT_DP_BUDGET = 2**28
 Z_95 = 1.96
 
@@ -164,18 +163,13 @@ def iter_closed_codes(p: AbelianPresentation, n: int):
     return _iter_closed_codes_general(p, n)
 
 
-def _area_engine(p: AbelianPresentation, engine: str = "auto", **oracle_kw):
-    """codes -> exact area, either by winding (standard Z^2) or by the oracle."""
-    z2 = p.is_standard_free and p.r == 2
-    if engine == "auto":
-        engine = "winding" if z2 else "oracle"
-    if engine == "winding":
-        if not z2:
-            raise ValueError("winding engine needs the standard Z^2 presentation")
+def _exact_area(p: AbelianPresentation, max_expansions: int):
+    """codes -> exact area: winding on standard Z^2, the oracle elsewhere."""
+    if p.is_standard_free and p.r == 2:
         return _area_z2_codes
 
     def oracle_area(codes):
-        got = area_oracle(p, Word(codes), **oracle_kw)
+        got = area_oracle(p, Word(codes), max_expansions=max_expansions)
         if isinstance(got, AreaResult):
             raise BudgetError(f"oracle could not certify an exact area for {codes}")
         return got
@@ -183,31 +177,22 @@ def _area_engine(p: AbelianPresentation, engine: str = "auto", **oracle_kw):
     return oracle_area
 
 
-def _check_enum_budget(p: AbelianPresentation, n: int, budget: int | None) -> None:
-    if budget is None:
-        budget = DEFAULT_ENUM_BUDGET
-    if sphere_size(p.r, n) > budget:
-        raise BudgetError(
-            f"enumeration of ({2 * p.r})^{n} words exceeds budget {budget}"
-        )
-
-
 def closed_level_stats(
     p: AbelianPresentation,
     n: int,
     *,
-    engine: str = "auto",
     budget: int | None = None,
-    **oracle_kw,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> tuple[int, int, int]:
     """(count, area sum, area max) over the closed words of length exactly n.
 
     Pruned enumeration: the route for D(n), whose maximum does not split per
     cell, for presentations other than standard Z^2, and the test oracle for
-    the winding DP. The budget counts words (default DEFAULT_ENUM_BUDGET).
+    the winding DP. The budget counts words (see check_enumeration_budget);
+    max_expansions caps each oracle search.
     """
-    _check_enum_budget(p, n, budget)
-    area = _area_engine(p, engine, **oracle_kw)
+    check_enumeration_budget(p.r, n, budget)
+    area = _exact_area(p, max_expansions)
     count = 0
     asum = 0
     amax = 0
@@ -349,7 +334,11 @@ def _z2_staircase_table(n: int, budget: int | None = None, dtype=None):
 
 
 def level_sums(
-    p: AbelianPresentation, n_max: int, *, budget: int | None = None, **oracle_kw
+    p: AbelianPresentation,
+    n_max: int,
+    *,
+    budget: int | None = None,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> list[tuple[int, int]]:
     """(count, area sum) over the closed words of each length t <= n_max.
 
@@ -360,18 +349,17 @@ def level_sums(
     if p.is_standard_free and p.r == 2:
         return _z2_level_sums(n_max, budget)
     return [
-        closed_level_stats(p, t, budget=budget, **oracle_kw)[:2] for t in range(n_max + 1)
+        closed_level_stats(p, t, budget=budget, max_expansions=max_expansions)[:2]
+        for t in range(n_max + 1)
     ]
 
 
-def dehn_exact(
-    p: AbelianPresentation, n_max: int, *, engine: str = "auto", **kw
-) -> list[DehnReport]:
+def dehn_exact(p: AbelianPresentation, n_max: int, **kw) -> list[DehnReport]:
     """Exact classical D(n) for n <= n_max, as the running max over levels."""
     reports = []
     running = 0
     for n in range(n_max + 1):
-        _, _, amax = closed_level_stats(p, n, engine=engine, **kw)
+        _, _, amax = closed_level_stats(p, n, **kw)
         running = max(running, amax)
         reports.append(DehnReport(n=n, kind=KIND_D, value=Fraction(running)))
     return reports
@@ -423,29 +411,12 @@ def lazy_mean(p: AbelianPresentation, n: int, **kw) -> DehnReport:
 # -- open means -------------------------------------------------------------------
 
 
-def osmean_exact(
-    p: AbelianPresentation,
-    c: GeodesicCombing,
-    n: int,
-    *,
-    budget: int | None = None,
-    **kw,
-) -> DehnReport:
+def osmean_exact(p: AbelianPresentation, c: GeodesicCombing, n: int, **kw) -> DehnReport:
     """Exact mean open area over all (2r)^n words of length n.
 
-    The winding DP on standard Z^2 with the staircase combing, enumeration of
-    every word otherwise; budget as in osmean_by_endpoint.
+    The total of osmean_by_endpoint's table over (2r)^n; keywords as there.
     """
-    if p.is_standard_free and p.r == 2 and c.kind == "staircase":
-        total = int(_z2_staircase_table(n, budget)[1].sum())
-    else:
-        if budget is None:
-            budget = DEFAULT_ENUM_BUDGET
-        area = _area_engine(p, "auto", **kw)
-        total = 0
-        for codes in enumerate_code_tuples(p.r, n, budget=budget):
-            closed = close_path(c, Word(codes))
-            total += area(closed.codes)
+    total = sum(s for _, s in osmean_by_endpoint(p, c, n, **kw).values())
     return DehnReport(
         n=n, kind=KIND_OSMEAN, value=Fraction(total, sphere_size(p.r, n)), combing=c.kind
     )
@@ -457,13 +428,13 @@ def osmean_by_endpoint(
     n: int,
     *,
     budget: int | None = None,
-    **kw,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> dict:
     """Per-endpoint [walk count, open-area sum] over all length-n words.
 
     The winding DP on standard Z^2 with the staircase combing (budget counts
     cells x steps x states); enumeration of every word otherwise (budget
-    counts words).
+    counts words), each closed by its endpoint's reversed combing word.
     """
     if p.is_standard_free and p.r == 2 and c.kind == "staircase":
         counts, sums, r = _z2_staircase_table(n, budget)
@@ -471,21 +442,18 @@ def osmean_by_endpoint(
             p.canonical_form((int(x) - r, int(y) - r)): [int(counts[x, y]), int(sums[x, y])]
             for x, y in zip(*np.nonzero(counts))
         }
-    if budget is None:
-        budget = DEFAULT_ENUM_BUDGET
-    area = _area_engine(p, "auto", **kw)
+    area = _exact_area(p, max_expansions)
     out: dict = {}
+    close: dict = {}
     for codes in enumerate_code_tuples(p.r, n, budget=budget):
-        w = Word(codes)
-        v = p.canonical_of_word(w)
-        closed = close_path(c, w)
-        a = area(closed.codes)
-        if v in out:
-            entry = out[v]
-            entry[0] += 1
-            entry[1] += a
-        else:
-            out[v] = [1, a]
+        v = p.canonical_of_word(Word(codes))
+        back = close.get(v)
+        if back is None:
+            back = close[v] = c.comb_to(v).inverse().codes
+            out[v] = [0, 0]
+        entry = out[v]
+        entry[0] += 1
+        entry[1] += area(codes + back)
     return out
 
 

@@ -162,24 +162,28 @@ def lazy_count(r: int, n: int) -> int:
     return (2 * r + 1) ** n
 
 
-def enumerate_words(
-    r: int, n: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[Word]:
-    """Yield each of the (2r)^n length-n words once, in deterministic order.
+def check_enumeration_budget(r: int, n: int, budget: int | None = None) -> None:
+    """Raise BudgetError when the (2r)^n length-n words exceed the word budget.
 
-    Order is lexicographic by letter code sequence a1 < A1 < a2 < A2 < ...
+    The one word budget of the package; None means DEFAULT_ENUMERATION_BUDGET.
     """
+    if budget is None:
+        budget = DEFAULT_ENUMERATION_BUDGET
     if sphere_size(r, n) > budget:
         raise BudgetError(f"enumeration of ({2 * r})^{n} words exceeds budget {budget}")
-    letters = Alphabet(r).letter_codes()
-    for codes in itertools.product(letters, repeat=n):
-        yield Word(codes)
 
 
 def enumerate_code_tuples(
-    r: int, n: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
+    r: int, n: int, *, budget: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Like enumerate_words but yielding raw code tuples (bulk internal use)."""
-    if sphere_size(r, n) > budget:
-        raise BudgetError(f"enumeration of ({2 * r})^{n} words exceeds budget {budget}")
+    """Yield each of the (2r)^n length-n code tuples once, in deterministic order.
+
+    Order is lexicographic by letter code sequence a1 < A1 < a2 < A2 < ...
+    """
+    check_enumeration_budget(r, n, budget)
     return itertools.product(Alphabet(r).letter_codes(), repeat=n)
+
+
+def enumerate_words(r: int, n: int, *, budget: int | None = None) -> Iterator[Word]:
+    """Like enumerate_code_tuples but yielding Word objects."""
+    return map(Word, enumerate_code_tuples(r, n, budget=budget))

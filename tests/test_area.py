@@ -15,6 +15,7 @@ from dehnlab import (
     make_combing,
     winding_field,
 )
+from dehnlab.area import _fill_info
 from dehnlab.dehnstats import iter_closed_codes
 
 from conftest import W
@@ -202,6 +203,25 @@ def test_oracle_budget_interval(z2):
     # tight budgets can still certify when the two bounds meet
     square = W("a1 a1 a2 a2 A1 A1 A2 A2")
     assert area_oracle(z2, square, max_expansions=0) == area_exact_z2(square) == 4
+
+
+@pytest.mark.parametrize(
+    "core",
+    [
+        # the 4 rotations of a1 a2 A1 A2 and of its inverse a2 a1 A2 A1
+        (1, 2, -1, -2), (2, -1, -2, 1), (-1, -2, 1, 2), (-2, 1, 2, -1),
+        (2, 1, -2, -1), (1, -2, -1, 2), (-2, -1, 2, 1), (-1, 2, 1, -2),
+    ],
+)
+def test_fill_info_accepts_commutator_rotations(core):
+    assert _fill_info((Word(core),), 2) == {}
+
+
+@pytest.mark.parametrize(
+    "core", [(1, 2, 1, -2), (1, 2, -1, 2), (1, 1, -2, -2), (1, -2, 1, 2), (2, 2, 2, -1)]
+)
+def test_fill_info_rejects_other_four_letter_relators(core):
+    assert _fill_info((Word(core),), 2) is None
 
 
 def test_area_result_validation():

@@ -120,6 +120,30 @@ def test_negative_length_is_config_error(capsys):
         assert "--n" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--group", "z2", "--n", "-1"),
+        ("cogrowth", "--n-max", "-4"),
+        ("dehn", "--group", "z2", "--kind", "osmean", "--n", "4", "--samples", "0", "--seed", "1"),
+        ("dehn", "--group", "z2", "--kind", "smean", "--n", "4", "--samples", "-3", "--seed", "1"),
+    ],
+)
+def test_nonsense_sizes_are_config_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--n" in err or "--samples" in err
+
+
+def test_dehn_single_sample(capsys):
+    code, out, _ = run_cli(
+        capsys, "dehn", "--group", "z2", "--kind", "osmean", "--n", "4", "--samples", "1", "--seed", "1"
+    )
+    assert code == 0
+    assert out.splitlines()[3].startswith("4,osmean,,")
+
+
 def test_budget_exhaustion_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "dehn", "--group", "z2", "--kind", "smean", "--n", "40", "--exact"

@@ -71,18 +71,21 @@ def test_dehn_exact_values(z2):
     assert vals[8] == 4
 
 
-def test_dehn_engine_consistency(z2):
-    # same values through the winding engine and the search oracle
-    w = [int(r.value) for r in dehn_exact(z2, 8, engine="winding")]
-    o = [int(r.value) for r in dehn_exact(z2, 8, engine="oracle")]
-    assert w == o
-
-
 def test_dehn_other_groups(z10, zxz2):
     # the only positive-area closed words of length <= 10 in Z/10 are a^(+-10)
     assert [int(r.value) for r in dehn_exact(z10, 10)] == [0] * 10 + [1]
     # b^2 fills with one relator, b^4 with two
     assert [int(r.value) for r in dehn_exact(zxz2, 4)] == [0, 0, 1, 1, 2]
+
+
+def test_unknown_keywords_raise(z2, st2):
+    # no route swallows a stale or misspelt keyword
+    with pytest.raises(TypeError):
+        dehn_exact(z2, 4, engine="oracle")
+    with pytest.raises(TypeError):
+        mean_exact(z2, 4, bogus=1)
+    with pytest.raises(TypeError):
+        osmean_exact(z2, st2, 4, bogus=1)
 
 
 def test_smean_values(z2):
@@ -165,6 +168,20 @@ def test_osmean_combing_comparison(z2, st2):
     bfs = make_combing(z2, "bfs-lex")
     for n in (2, 4, 5):
         assert osmean_exact(z2, st2, n).value == osmean_exact(z2, bfs, n).value
+
+
+def test_osmean_off_z2_matches_brute_force(z10):
+    # the enumeration route on a torsion group, against area_open word by word
+    from dehnlab import area_open, enumerate_words
+
+    bfs = make_combing(z10, "bfs-lex")
+    for n in range(9):
+        brute = sum(area_open(z10, bfs, w).upper for w in enumerate_words(1, n))
+        assert osmean_exact(z10, bfs, n).value == Fraction(brute, 2**n)
+        wt = walk_counts(z10, n)
+        table = osmean_by_endpoint(z10, bfs, n)
+        assert {v: cnt for v, (cnt, _) in table.items()} == wt.counts
+    assert osmean_exact(z10, bfs, 8).value == Fraction(9, 128)
 
 
 def test_osmean_by_endpoint_decomposition(z2, st2):
