@@ -93,8 +93,6 @@ from .presentation import (
     smith_normal_form,
 )
 from .words import (
-    Alphabet,
-    Letter,
     Word,
     ball_size,
     enumerate_words,

@@ -381,21 +381,25 @@ def closed_area_result(
     w: Word,
     *,
     oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF,
-    **oracle_kw,
+    slack: int | None = None,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> AreaResult:
-    """Best available certified area of a closed word for any presentation."""
+    """Best available certified area of a closed word for any presentation.
+
+    slack and max_expansions go to area_oracle where it runs.
+    """
     if p.is_standard_free and p.r == 2:
         return AreaResult.of(_area_z2_codes(w.codes))
     reduced = reduce_codes(w.codes)
     if not reduced:
         return AreaResult.of(0)
     if len(reduced) <= oracle_cutoff:
-        got = area_oracle(p, w, **oracle_kw)
+        got = area_oracle(p, w, slack=slack, max_expansions=max_expansions)
         return AreaResult.of(got) if isinstance(got, int) else got
     lower = _plane_mass_total(reduced, p.r) if p.is_standard_free else 0
     upper = _sort_fill_upper(p, reduced)
     if upper is None:
-        got = area_oracle(p, w, **oracle_kw)
+        got = area_oracle(p, w, slack=slack, max_expansions=max_expansions)
         return AreaResult.of(got) if isinstance(got, int) else got
     if upper <= lower:
         return AreaResult.of(upper)
@@ -406,10 +410,13 @@ def area_open(
     p: AbelianPresentation,
     c: GeodesicCombing,
     gamma: Word,
-    **kw,
+    *,
+    slack: int | None = None,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> AreaResult:
     """Area of an arbitrary path: close it through the combing, then fill."""
-    return closed_area_result(p, close_path(c, gamma), **kw)
+    closed = close_path(c, gamma)
+    return closed_area_result(p, closed, slack=slack, max_expansions=max_expansions)
 
 
 def area_closed_at(
@@ -417,13 +424,16 @@ def area_closed_at(
     c: GeodesicCombing,
     gamma: Word,
     u: CanonicalForm,
-    **kw,
+    *,
+    slack: int | None = None,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> AreaResult:
     """Area of a loop based at u, via conjugation with the combing word to u."""
     if p.canonical_of_word(gamma) != p.identity():
         raise ValueError("path is not closed at its basepoint")
     t = c.comb_to(u)
-    return closed_area_result(p, t * gamma * t.inverse(), **kw)
+    loop = t * gamma * t.inverse()
+    return closed_area_result(p, loop, slack=slack, max_expansions=max_expansions)
 
 
 def area_upper_dc(
@@ -431,7 +441,9 @@ def area_upper_dc(
     c: GeodesicCombing,
     gamma: Word,
     leaf_size: int = 8,
-    **oracle_kw,
+    *,
+    slack: int | None = None,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> int:
     """Certified upper bound on the open area by recursive half splitting.
 
@@ -447,7 +459,7 @@ def area_upper_dc(
         closed = close_path(c, Word(codes))
         if z2:
             return _area_z2_codes(closed.codes)
-        got = area_oracle(p, closed, **oracle_kw)
+        got = area_oracle(p, closed, slack=slack, max_expansions=max_expansions)
         return got if isinstance(got, int) else got.upper
 
     def triangle_area(u: CanonicalForm, v: CanonicalForm) -> int:
@@ -457,7 +469,7 @@ def area_upper_dc(
         bound = _sort_fill_upper(p, tri.codes)
         if bound is not None:
             return bound
-        got = area_oracle(p, tri, **oracle_kw)
+        got = area_oracle(p, tri, slack=slack, max_expansions=max_expansions)
         return got if isinstance(got, int) else got.upper
 
     def rec(codes) -> int:

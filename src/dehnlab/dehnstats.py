@@ -460,10 +460,9 @@ def osmean_by_endpoint(
 # -- sampling ---------------------------------------------------------------------
 
 
-_Z2_CODES = np.array([1, -1, 2, -2], dtype=np.int16)
-
-
-def _require_sampling_support(p: AbelianPresentation) -> None:
+def _require_sampling_support(p: AbelianPresentation, samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     if not (p.is_standard_free and p.r == 2):
         raise ValueError("samplers are implemented for the standard Z^2 presentation")
 
@@ -494,7 +493,7 @@ def osmean_sampled(
     seed: int,
 ) -> DehnReport:
     """Unbiased Monte Carlo estimate of the open spherical mean."""
-    _require_sampling_support(p)
+    _require_sampling_support(p, samples)
     codes = slots_to_codes(sample_letter_matrix(2, n, samples, make_rng(seed)))
     dx = ((codes == 1).sum(axis=1) - (codes == -1).sum(axis=1)).tolist()
     dy = ((codes == 2).sum(axis=1) - (codes == -2).sum(axis=1)).tolist()
@@ -516,40 +515,23 @@ def smean_sampled(
     n: int,
     samples: int,
     seed: int,
-    *,
-    max_proposals: int = 200_000_000,
 ) -> DehnReport:
-    """Monte Carlo spherical mean: uniform closed words by rejection on endpoints.
+    """Monte Carlo spherical mean over uniform closed words of length n.
 
-    Letter multiplicities are proposed multinomially and accepted when the
-    exponent sums vanish; accepted multisets are then shuffled uniformly.
-    The closure probability decays only polynomially, so rejection stays
-    practical far beyond enumerable lengths.
+    A closed Z^2 word is a pair of balanced +-1 sequences, the steps of x + y
+    and of x - y (a1 is (+1, +1), A1 (-1, -1), a2 (+1, -1), A2 (-1, +1)), so
+    two independent shuffles of n/2 (+1)s and n/2 (-1)s draw one uniformly.
     """
-    _require_sampling_support(p)
+    _require_sampling_support(p, samples)
     if n % 2:
         return DehnReport(n=n, kind=KIND_SMEAN, value=Fraction(0), combing=c.kind)
     rng = make_rng(seed)
+    half = np.repeat(np.array([1, -1], dtype=np.int8), n // 2)
     areas = np.empty(samples, dtype=np.float64)
-    got = 0
-    proposed = 0
-    chunk = max(4096, min(1 << 20, samples * 8))
-    while got < samples:
-        if proposed > max_proposals:
-            raise BudgetError(
-                f"closed-word rejection sampling exhausted {max_proposals} proposals"
-            )
-        counts = rng.multinomial(n, [0.25, 0.25, 0.25, 0.25], size=chunk)
-        proposed += chunk
-        accepted = counts[(counts[:, 0] == counts[:, 1]) & (counts[:, 2] == counts[:, 3])]
-        for row in accepted:
-            if got >= samples:
-                break
-            k, m = int(row[0]), int(row[2])
-            codes = np.repeat(_Z2_CODES, [k, k, m, m])
-            rng.shuffle(codes)
-            areas[got] = _area_z2_codes(codes.tolist())
-            got += 1
+    for i in range(samples):
+        u = rng.permutation(half)
+        v = rng.permutation(half)
+        areas[i] = _area_z2_codes(np.where(u == v, u, 2 * u).tolist())
     return _mean_report(KIND_SMEAN, n, areas, seed, c.kind)
 
 

@@ -18,56 +18,6 @@ DEFAULT_ENUMERATION_BUDGET = 2**26
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Generator alphabet a_1 .. a_r together with the formal inverses."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("alphabet needs at least one generator")
-
-    def letter_codes(self, lazy: bool = False) -> tuple[int, ...]:
-        """Letter codes in enumeration order: a1, a1^-1, a2, ..., pause last."""
-        codes: list[int] = []
-        for i in range(1, self.r + 1):
-            codes += [i, -i]
-        if lazy:
-            codes.append(PAUSE)
-        return tuple(codes)
-
-
-@dataclass(frozen=True)
-class Letter:
-    """A signed generator letter, or the pause symbol of lazy words."""
-
-    generator_index: int
-    sign: int
-    is_pause: bool = False
-
-    def __post_init__(self):
-        if self.is_pause:
-            if self.generator_index != 0 or self.sign != 0:
-                raise ValueError("pause letters carry no generator")
-        elif self.generator_index < 1 or self.sign not in (-1, 1):
-            raise ValueError("generator letters need index >= 1 and sign +1 or -1")
-
-    @classmethod
-    def pause(cls) -> "Letter":
-        return cls(0, 0, True)
-
-    @classmethod
-    def from_code(cls, code: int) -> "Letter":
-        if code == PAUSE:
-            return cls.pause()
-        return cls(abs(code), 1 if code > 0 else -1)
-
-    @property
-    def code(self) -> int:
-        return PAUSE if self.is_pause else self.sign * self.generator_index
-
-
-@dataclass(frozen=True)
 class Word:
     """A finite sequence of letters; `lazy` words may contain pause symbols."""
 
@@ -78,10 +28,6 @@ class Word:
         object.__setattr__(self, "codes", tuple(int(c) for c in self.codes))
         if not self.lazy and PAUSE in self.codes:
             raise ValueError("pause symbol in a non-lazy word")
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.from_code(c) for c in self.codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -181,7 +127,8 @@ def enumerate_code_tuples(
     Order is lexicographic by letter code sequence a1 < A1 < a2 < A2 < ...
     """
     check_enumeration_budget(r, n, budget)
-    return itertools.product(Alphabet(r).letter_codes(), repeat=n)
+    letters = tuple(c for i in range(1, r + 1) for c in (i, -i))
+    return itertools.product(letters, repeat=n)
 
 
 def enumerate_words(r: int, n: int, *, budget: int | None = None) -> Iterator[Word]:

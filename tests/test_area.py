@@ -11,6 +11,7 @@ from dehnlab import (
     area_open,
     area_oracle,
     area_upper_dc,
+    closed_area_result,
     free_abelian,
     make_combing,
     winding_field,
@@ -128,6 +129,19 @@ def test_area_closed_at(z2, st2):
         assert area_oracle(z2, conj) == 1
     with pytest.raises(ValueError):
         area_closed_at(z2, st2, W("a1"), z2.identity())
+
+
+def test_unknown_keywords_raise(z2, st2):
+    # standard Z^2 never reaches the oracle, so only the signatures can reject these
+    w = W("a1 a2 A1 A2")
+    with pytest.raises(TypeError):
+        closed_area_result(z2, w, bogus=1)
+    with pytest.raises(TypeError):
+        area_open(z2, st2, W("a1 a2"), engine="oracle")
+    with pytest.raises(TypeError):
+        area_closed_at(z2, st2, w, z2.identity(), bogus=1)
+    with pytest.raises(TypeError):
+        area_upper_dc(z2, st2, w, typo=3)
 
 
 def test_area_upper_dc_bounds(z2, st2):

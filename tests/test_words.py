@@ -5,9 +5,7 @@ import random
 import pytest
 
 from dehnlab import (
-    Alphabet,
     BudgetError,
-    Letter,
     Word,
     ball_size,
     enumerate_words,
@@ -89,19 +87,6 @@ def test_free_reduce_idempotent_and_parity():
         assert (length_A(w) - length_A(red)) % 2 == 0
 
 
-def test_letter_model():
-    a = Letter.from_code(3)
-    assert (a.generator_index, a.sign, a.is_pause) == (3, 1, False)
-    assert Letter.from_code(-2).code == -2
-    assert Letter.pause().is_pause
-    with pytest.raises(ValueError):
-        Letter(0, 1)
-    with pytest.raises(ValueError):
-        Letter(1, 0)
-    with pytest.raises(ValueError):
-        Alphabet(0)
-
-
 def test_word_tokens_roundtrip():
     w = W("a1 A1 a2 A2")
     assert w.tokens() == "a1 A1 a2 A2"
@@ -121,6 +106,5 @@ def test_word_algebra():
 
 
 def test_enumeration_order_is_product_order():
-    letters = Alphabet(2).letter_codes()
-    expected = [c for c in itertools.product(letters, repeat=2)]
+    expected = list(itertools.product((1, -1, 2, -2), repeat=2))
     assert [w.codes for w in enumerate_words(2, 2)] == expected
