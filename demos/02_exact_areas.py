@@ -46,7 +46,7 @@ for toks in examples:
     print(f"  {toks:28s} exact {area_exact_z2(w)}  dc-bound {area_upper_dc(z2, st, w, leaf_size=2)}")
 
 print()
-print("rank three: plane-projection lower bound, oracle, dc upper bound")
+print("rank three: projected-winding lower bound, oracle, dc upper bound")
 z3 = free_abelian(3)
 comb3 = make_combing(z3, "staircase")
 w = Word.from_tokens("a1 a2 A1 A2 a2 a3 A2 A3")

@@ -5,6 +5,11 @@ separate: an exact winding-number formula for the standard Z^2 presentation,
 and a brute-force A* search over relator insertions that works for any
 presentation. The winding formula is treated as a derived identity; the
 oracle-agreement test suite is what certifies it.
+
+Every presentation has one certified lower bound, `_area_lower_bound`: the
+projected winding (the Z^2 kernel on each generator plane) when all relators
+are closed in Z^r, and weighted torsion exponent sums otherwise. It steers
+the oracle and is the lower end of every reported bracket.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .combing import GeodesicCombing, close_path, comb_between
 from .errors import BudgetError
@@ -20,7 +24,8 @@ from .presentation import AbelianPresentation, CanonicalForm, abelianize
 from .words import Word, reduce_codes
 
 DEFAULT_ORACLE_EXPANSIONS = 200_000
-DEFAULT_ORACLE_CUTOFF = 16
+# closed_area_result searches words up to this reduced length when the bounds differ
+ORACLE_CUTOFF = 16
 
 
 @dataclass(frozen=True)
@@ -119,33 +124,36 @@ def area_exact_z2(w: Word) -> int:
     return _area_z2_codes(w.codes)
 
 
-def _plane_mass_total(codes, r: int) -> int:
-    """Sum over generator pairs i<j of |signed area| of the (i,j) projection."""
-    pos = [0] * r
-    areas: dict[tuple[int, int], int] = {}
-    for c in codes:
-        j = abs(c)
-        if j > r:
-            raise ValueError(f"letter index {j} outside alphabet of rank {r}")
-        s = 1 if c > 0 else -1
-        for i in range(1, j):
-            key = (i, j)
-            areas[key] = areas.get(key, 0) + pos[i - 1] * s
-        pos[j - 1] += s
-    if any(pos):
-        raise ValueError("word is not closed in Z^r")
-    return sum(abs(v) for v in areas.values())
+def _projected_winding(codes, r: int) -> int:
+    """Sum over generator pairs i<j of the winding area of the (i,j) projection.
+
+    The projection keeps the letters of a_i and a_j, renumbered to the Z^2
+    codes 1 and 2, and `_area_z2_codes` scores it. At r = 2 the projection is
+    the word itself. Callers pass closed words over the rank-r alphabet.
+    """
+    total = 0
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            plane = {i: 1, -i: -1, j: 2, -j: -2}
+            total += _area_z2_codes([plane[c] for c in codes if c in plane])
+    return total
 
 
 def area_lower_zr(w: Word, r: int) -> int:
     """Lower bound on area for all-commutator presentations of Z^r.
 
-    Each commutator relator application changes exactly one plane's signed
-    area by one, so the total projected |signed area| is a filling obstruction.
+    Map a van Kampen diagram into Z^r and project it onto the (i,j) plane:
+    each [a_i, a_j] face covers one unit square and every other face
+    degenerates, and the winding function is the plane's only 2-chain
+    filling the projected loop. So the diagram has at least the projection's
+    winding area of [a_i, a_j] faces, and the projected winding is a bound.
+    It is not the area: [[a1, a2], a3] has bound 0 and area 2.
     """
     if w.lazy:
         raise ValueError("paths are non-lazy words")
-    return _plane_mass_total(w.codes, r)
+    if any(abelianize(w, r)):
+        raise ValueError("word is not closed in Z^r")
+    return _projected_winding(w.codes, r)
 
 
 # -- brute-force oracle ----------------------------------------------------------
@@ -185,65 +193,47 @@ def _splice(left, mid, right, cap):
     return tuple(out)
 
 
-def _oracle_heuristic(p: AbelianPresentation):
-    """Admissible lower bound used to steer the oracle search.
+def _area_lower_bound(p: AbelianPresentation):
+    """The certified area lower bound of p, as a function of a closed code sequence.
 
-    For standard free-abelian presentations, a relator insertion changes the
-    winding mass (r=2) or the projected-plane mass (r>=3) by at most the
-    relator's own mass, so mass / max-relator-mass never exceeds the number
-    of moves left. For presentations with torsion, the scaled exponent-sum
-    deficit plays the same role. Exactness of the search never depends on
-    the heuristic; it only prunes provably suboptimal paths.
+    The bound is ceil(mass / unit), with unit the largest relator mass: one
+    relator insertion moves the mass by at most that relator's own mass, so
+    the bound never exceeds the number of insertions a filling still needs.
+    When every relator is closed in Z^r (standard free-abelian presentations
+    of every rank), the mass is the projected winding: an insertion adds the
+    relator's own winding field to each plane's field, and the L1 mass obeys
+    the triangle inequality. Otherwise it is the sum of |exponent sum| over
+    the generators a_i with a pure power relator a_i^m_i (the least m_i
+    when there are several), weighted by the integers lcm / m_i.
     """
-    if not p.relators:
-        return lambda codes: 0
+    r = p.r
     if p.is_standard_free:
-        if p.r == 2:
-            mass = _area_z2_codes
-        else:
-            r = p.r
-            mass = lambda codes: _plane_mass_total(codes, r)
-        unit = max(mass(reduce_codes(rel.codes)) for rel in p.relators)
-        if unit == 0:
-            return lambda codes: 0
-        if unit == 1:
-            return mass
-        return lambda codes: -(-mass(codes) // unit)
-    return _torsion_heuristic(p)
 
+        def mass(codes):
+            return _projected_winding(codes, r)
 
-def _torsion_heuristic(p: AbelianPresentation):
-    """Scaled exponent-sum lower bound for presentations with torsion relators.
+    else:
+        power_of: dict[int, int] = {}
+        for rel in p.relators:
+            core = _cyclic_reduce(reduce_codes(rel.codes))
+            if core and len(set(core)) == 1:
+                i, m = abs(core[0]), len(core)
+                power_of[i] = min(power_of.get(i, m), m)
+        lcm = math.lcm(*power_of.values())
+        weights = [(i, lcm // m) for i, m in power_of.items()]
 
-    With weights 1/m_i on generators carrying a pure power relator a_i^m_i,
-    a single relator insertion changes the weighted exponent mass by at most
-    the relator's own mass, which is at most one.
-    """
-    weights = {}
-    for rel in p.relators:
-        core = _cyclic_reduce(reduce_codes(rel.codes))
-        if core and len({c for c in core}) == 1:
-            i = abs(core[0])
-            m = len(core)
-            weights[i] = max(weights.get(i, 0), Fraction(1, m))
-    if not weights:
-        return lambda codes: 0
-    unit = Fraction(0)
-    for rel in p.relators:
-        v = abelianize(Word(rel.codes), p.r)
-        mass = sum(abs(v[i - 1]) * w for i, w in weights.items())
-        unit = max(unit, mass)
+        def mass(codes):
+            exps = [0] * (r + 1)
+            for c in codes:
+                exps[abs(c)] += 1 if c > 0 else -1
+            return sum(abs(exps[i]) * wt for i, wt in weights)
+
+    unit = max((mass(reduce_codes(rel.codes)) for rel in p.relators), default=0)
     if unit == 0:
         return lambda codes: 0
-
-    def h(codes):
-        exps = [0] * (p.r + 1)
-        for c in codes:
-            exps[abs(c)] += 1 if c > 0 else -1
-        mass = sum(abs(exps[i]) * w for i, w in weights.items())
-        return math.ceil(mass / unit)
-
-    return h
+    if unit == 1:
+        return mass
+    return lambda codes: -(-mass(codes) // unit)
 
 
 def area_oracle(
@@ -274,7 +264,7 @@ def area_oracle(
         raise ValueError("presentation has no relators to fill with")
     maxrel = max(len(t) for t in rots)
     cap = len(start) + (2 * maxrel if slack is None else slack)
-    hfun = _oracle_heuristic(p)
+    hfun = _area_lower_bound(p)
 
     g_of = {start: 0}
     heap = [(hfun(start), 0, start)]
@@ -380,29 +370,33 @@ def closed_area_result(
     p: AbelianPresentation,
     w: Word,
     *,
-    oracle_cutoff: int = DEFAULT_ORACLE_CUTOFF,
     slack: int | None = None,
     max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> AreaResult:
     """Best available certified area of a closed word for any presentation.
 
-    slack and max_expansions go to area_oracle where it runs.
+    Standard Z^2 is exact by winding. Elsewhere the bracket runs from
+    `_area_lower_bound` to the sort-and-cancel filling, and is exact without
+    a search when the two meet. Otherwise the oracle fills the word when it
+    is at most ORACLE_CUTOFF letters long reduced, or when the filler does
+    not apply; slack and max_expansions go to it. The filling never grows
+    the word, so it stays under the oracle's length cap, and the oracle's
+    answer lies between the two bounds.
     """
     if p.is_standard_free and p.r == 2:
         return AreaResult.of(_area_z2_codes(w.codes))
+    if not p.is_identity(w):
+        raise ValueError("area is defined for words mapping to 1 in the group")
     reduced = reduce_codes(w.codes)
     if not reduced:
         return AreaResult.of(0)
-    if len(reduced) <= oracle_cutoff:
-        got = area_oracle(p, w, slack=slack, max_expansions=max_expansions)
-        return AreaResult.of(got) if isinstance(got, int) else got
-    lower = _plane_mass_total(reduced, p.r) if p.is_standard_free else 0
+    lower = _area_lower_bound(p)(reduced)
     upper = _sort_fill_upper(p, reduced)
-    if upper is None:
+    if upper is not None and upper <= lower:
+        return AreaResult.of(upper)
+    if upper is None or len(reduced) <= ORACLE_CUTOFF:
         got = area_oracle(p, w, slack=slack, max_expansions=max_expansions)
         return AreaResult.of(got) if isinstance(got, int) else got
-    if upper <= lower:
-        return AreaResult.of(upper)
     return AreaResult(lower, upper, False)
 
 

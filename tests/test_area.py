@@ -16,7 +16,7 @@ from dehnlab import (
     make_combing,
     winding_field,
 )
-from dehnlab.area import _fill_info
+from dehnlab.area import _area_lower_bound, _fill_info
 from dehnlab.dehnstats import iter_closed_codes
 
 from conftest import W
@@ -137,6 +137,8 @@ def test_unknown_keywords_raise(z2, st2):
     with pytest.raises(TypeError):
         closed_area_result(z2, w, bogus=1)
     with pytest.raises(TypeError):
+        closed_area_result(z2, w, oracle_cutoff=16)
+    with pytest.raises(TypeError):
         area_open(z2, st2, W("a1 a2"), engine="oracle")
     with pytest.raises(TypeError):
         area_closed_at(z2, st2, w, z2.identity(), bogus=1)
@@ -181,8 +183,39 @@ def test_area_lower_zr(z3):
     assert area_lower_zr(w2, 3) == 2
     assert area_oracle(z3, w2) == 2
     assert area_lower_zr(W("a1 A1 a2 A2"), 3) == 0
+    # the figure eight: signed areas cancel, winding areas do not
+    eight = W("a1 a2 A1 A2 a1 A2 A1 a2")
+    assert area_lower_zr(eight, 3) == 2 == area_oracle(z3, eight)
+    # [[a1, a2], a3]: every projection has winding area 0, so the oracle stays
+    nested = W("a1 a2 A1 A2 a3 a2 a1 A2 A1 A3")
+    assert area_lower_zr(nested, 3) == 0
+    assert area_oracle(z3, nested) == 2
     with pytest.raises(ValueError):
         area_lower_zr(W("a1"), 3)
+    with pytest.raises(ValueError):
+        area_lower_zr(W("a1"), 1)  # no generator plane, still not closed
+    with pytest.raises(ValueError, match="outside alphabet"):
+        area_lower_zr(W("a4 A4"), 3)
+
+
+@pytest.mark.parametrize("group", ["z3", "zxz2"])
+def test_closed_area_result_matches_oracle_on_short_words(group, request):
+    p = request.getfixturevalue(group)
+    lower_bound = _area_lower_bound(p)
+    for n in range(7):
+        for codes in iter_closed_codes(p, n):
+            w = Word(codes)
+            area = area_oracle(p, w)
+            assert closed_area_result(p, w) == AreaResult.of(area), codes
+            assert lower_bound(codes) <= area, codes
+
+
+def test_closed_area_result_long_torsion_words(zxz2):
+    # the torsion bound ceil(|a2 exponent sum| / 2) meets the filling: exact, no search
+    assert closed_area_result(zxz2, Word((2,) * 18)) == AreaResult.of(9)
+    # past the oracle cutoff the bracket keeps the torsion lower end
+    w = Word((1,) * 9 + (2, 2) + (-1,) * 9)
+    assert closed_area_result(zxz2, w) == AreaResult(1, 19, False)
 
 
 def test_sandwich_on_z3(z3):

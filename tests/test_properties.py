@@ -1,4 +1,5 @@
-"""Property tests: the winding DP against enumeration, and area on Z^2 (symmetries, winding field)."""
+"""Property tests: the winding DP against enumeration, area on Z^2 (symmetries,
+winding field), and the projected-winding bound on Z^3."""
 
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from dehnlab import (
     Word,
     area_exact_z2,
+    area_lower_zr,
     builtin_presentation,
     close_path,
     enumerate_words,
@@ -40,12 +42,14 @@ def test_dp_osmean_matches_close_path_enumeration(n):
 
 
 @st.composite
-def closed_z2_words(draw):
-    """A random Z^2 path closed by an arbitrary reordering of its return."""
-    codes = draw(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=24))
-    x = codes.count(1) - codes.count(-1)
-    y = codes.count(2) - codes.count(-2)
-    back = [-1 if x > 0 else 1] * abs(x) + [-2 if y > 0 else 2] * abs(y)
+def closed_words(draw, r):
+    """A random Z^r path closed by an arbitrary reordering of its return."""
+    letters = [c for i in range(1, r + 1) for c in (i, -i)]
+    codes = draw(st.lists(st.sampled_from(letters), max_size=24))
+    back = []
+    for i in range(1, r + 1):
+        e = codes.count(i) - codes.count(-i)
+        back += [-i if e > 0 else i] * abs(e)
     return tuple(codes) + tuple(draw(st.permutations(back)))
 
 
@@ -63,7 +67,7 @@ def _apply(sym, codes):
     return tuple(out)
 
 
-@given(closed_z2_words(), st.integers(0, 64))
+@given(closed_words(2), st.integers(0, 64))
 def test_z2_area_invariant_under_rotation_and_inversion(codes, shift):
     area = area_exact_z2(Word(codes))
     k = shift % len(codes) if codes else 0
@@ -71,12 +75,27 @@ def test_z2_area_invariant_under_rotation_and_inversion(codes, shift):
     assert area_exact_z2(Word(tuple(-c for c in reversed(codes)))) == area
 
 
-@given(closed_z2_words())
+@given(closed_words(2))
 def test_z2_area_invariant_under_square_symmetries(codes):
     area = area_exact_z2(Word(codes))
     assert {area_exact_z2(Word(_apply(sym, codes))) for sym in SQUARE_SYMMETRIES} == {area}
 
 
-@given(closed_z2_words())
+@given(closed_words(2))
 def test_winding_field_mass_is_the_area(codes):
     assert winding_field(Word(codes)).l1() == area_exact_z2(Word(codes))
+
+
+@given(closed_words(3), st.integers(0, 64), st.permutations((1, 2, 3)))
+def test_projected_winding_invariant_under_rotation_inversion_and_relabelling(codes, shift, perm):
+    bound = area_lower_zr(Word(codes), 3)
+    k = shift % len(codes) if codes else 0
+    assert area_lower_zr(Word(codes[k:] + codes[:k]), 3) == bound
+    assert area_lower_zr(Word(tuple(-c for c in reversed(codes))), 3) == bound
+    relabelled = tuple((1 if c > 0 else -1) * perm[abs(c) - 1] for c in codes)
+    assert area_lower_zr(Word(relabelled), 3) == bound
+
+
+@given(closed_words(2))
+def test_projected_winding_of_a_plane_word_is_its_area(codes):
+    assert area_lower_zr(Word(codes), 3) == area_exact_z2(Word(codes))
