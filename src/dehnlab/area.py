@@ -383,7 +383,7 @@ def closed_area_result(
     the word, so it stays under the oracle's length cap, and the oracle's
     answer lies between the two bounds.
     """
-    if p.is_standard_free and p.r == 2:
+    if p.is_standard_z2:
         return AreaResult.of(_area_z2_codes(w.codes))
     if not p.is_identity(w):
         raise ValueError("area is defined for words mapping to 1 in the group")
@@ -447,7 +447,7 @@ def area_upper_dc(
     """
     if gamma.lazy:
         raise ValueError("paths are non-lazy words")
-    z2 = p.is_standard_free and p.r == 2
+    z2 = p.is_standard_z2
 
     def leaf_area(codes) -> int:
         closed = close_path(c, Word(codes))

@@ -1,8 +1,15 @@
 """Exact walk counts, probabilistic tail bounds, and the word sampler.
 
-All counts are arbitrary-precision integers; probabilities appear only at
-the reporting edge. Sampling uses numpy's PCG64 generator seeded through
-SeedSequence.
+All counts are exact integers; probabilities appear only at the reporting
+edge. Sampling uses numpy's PCG64 generator seeded through SeedSequence.
+
+Walk counts live on a dense frame: an axis per free coordinate, spanning
++-n * max_c |free part of generator c|, then an axis per torsion modulus.
+A step sums the frame rolled by each generator image; the rolls wrap the
+torsion axes, and no walk reaches the edge of a free axis. Cells are int64
+while (2r)^n < 2^63 and Python ints (dtype object) past that. `max_states`
+bounds the frame's cells, times 2r for non-backtracking counts, and is
+checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -46,60 +54,66 @@ class CountTable:
         return self.counts.get(v, 0)
 
 
+def _dense_counts(
+    p: AbelianPresentation, n: int, max_states: int, backtracking_allowed: bool
+) -> CountTable:
+    images = [p.generator_image(c) for c in p.generator_codes]
+    reach = [n * max(abs(g.free_part[i]) for g in images) for i in range(p.free_rank)]
+    # a trivial group gets one axis of one cell
+    shape = tuple(2 * h + 1 for h in reach) + p.torsion_moduli or (1,)
+    shifts = [g.free_part + g.torsion_part or (0,) for g in images]
+    cells = math.prod(shape) * (1 if backtracking_allowed else len(shifts))
+    if cells > max_states:
+        raise BudgetError(f"walk frame of {cells} cells exceeds {max_states} states")
+    axes = tuple(range(len(shape)))
+    total = np.zeros(shape, dtype=np.int64 if (2 * p.r) ** n < 2**63 else object)
+    total[tuple(reach) + (0,) * (len(shape) - len(reach))] = 1
+    last = None
+    for _ in range(n):
+        # S'[c] = roll(sum(S) - S[-c], shift_c); codes come in (c, -c) pairs
+        moved = (
+            np.roll(total if last is None else total - last[i ^ 1], s, axis=axes)
+            for i, s in enumerate(shifts)
+        )
+        if not backtracking_allowed:
+            moved = last = list(moved)
+        total = reduce(np.add, moved)
+    k, t = p.free_rank, len(p.torsion_moduli)
+    idx = np.nonzero(total)
+    counts = {
+        CanonicalForm(tuple(x - h for x, h in zip(cell, reach)), cell[k : k + t]): v
+        for cell, v in zip(zip(*(i.tolist() for i in idx)), total[idx].tolist())
+    }
+    return CountTable(n, counts, backtracking_allowed)
+
+
 def walk_counts(
     p: AbelianPresentation, n: int, *, max_states: int = DEFAULT_STATE_BUDGET
 ) -> CountTable:
-    """Exact N_v(n) for every endpoint v, by length-indexed convolution."""
-    counts = {p.identity(): 1}
-    moves = [p.generator_image(c) for c in p.generator_codes]
-    for _ in range(n):
-        nxt: dict[CanonicalForm, int] = {}
-        compose = p.compose
-        get = nxt.get
-        for g, c in counts.items():
-            for mv in moves:
-                h = compose(g, mv)
-                nxt[h] = get(h, 0) + c
-        if len(nxt) > max_states:
-            raise BudgetError(f"walk DP exceeded {max_states} states")
-        counts = nxt
-    return CountTable(n, counts, True)
+    """Exact N_v(n) per endpoint v, by rolling one dense frame per generator.
+
+    Cells are int64 while (2r)^n < 2^63, else Python ints; max_states bounds
+    the frame's cells.
+    """
+    return _dense_counts(p, n, max_states, True)
 
 
 def nonbacktracking_counts(
     p: AbelianPresentation, n: int, *, max_states: int = DEFAULT_STATE_BUDGET
 ) -> CountTable:
-    """Exact N'_v(n): walks never followed by the inverse of the last step."""
-    if n == 0:
-        return CountTable(0, {p.identity(): 1}, False)
-    state: dict[tuple[CanonicalForm, int], int] = {}
-    for c in p.generator_codes:
-        state[(p.generator_image(c), c)] = 1
-    for _ in range(n - 1):
-        nxt: dict[tuple[CanonicalForm, int], int] = {}
-        compose = p.compose
-        for (g, last), cnt in state.items():
-            for c in p.generator_codes:
-                if c == -last:
-                    continue
-                key = (compose(g, p.generator_image(c)), c)
-                nxt[key] = nxt.get(key, 0) + cnt
-        if len(nxt) > max_states:
-            raise BudgetError(f"non-backtracking DP exceeded {max_states} states")
-        state = nxt
-    counts: dict[CanonicalForm, int] = {}
-    for (g, _last), cnt in state.items():
-        counts[g] = counts.get(g, 0) + cnt
-    return CountTable(n, counts, False)
+    """Exact N'_v(n): walks never followed by the inverse of the last step.
+
+    One dense frame per last letter, dtype as in walk_counts; max_states
+    bounds the frame's cells times 2r.
+    """
+    return _dense_counts(p, n, max_states, False)
 
 
 def closed_walk_closed_form_z2(n: int) -> int:
     """Closed Z^2 walks of length n: C(n, n/2)^2 for even n, zero for odd n."""
     if n < 0:
         raise ValueError("length must be non-negative")
-    if n % 2:
-        return 0
-    return math.comb(n, n // 2) ** 2
+    return 0 if n % 2 else math.comb(n, n // 2) ** 2
 
 
 def kolmogorov_bound(t: float, eps: float, d: float, s_n: float) -> float:
@@ -108,10 +122,8 @@ def kolmogorov_bound(t: float, eps: float, d: float, s_n: float) -> float:
     Pr(S_n > eps * s_n) <= exp(-t*eps + t^2/2 * (1 + t*d/(2 s_n))),
     valid for 0 < t*d <= s_n and eps > 0.
     """
-    if not (t > 0 and t * d <= s_n):
-        raise ValueError("requires 0 < t*d <= s_n")
-    if not eps > 0:
-        raise ValueError("requires eps > 0")
+    if not (t > 0 and t * d <= s_n and eps > 0):
+        raise ValueError("requires 0 < t*d <= s_n and eps > 0")
     return math.exp(-t * eps + 0.5 * t * t * (1.0 + 0.5 * t * d / s_n))
 
 
@@ -128,11 +140,7 @@ def tail_bound_1d(n: int, c: float) -> float:
 
 def tail_count_exact_1d(n: int, ell: float) -> int:
     """Exact number of words in {a, a^-1}^n whose exponent sum exceeds ell in absolute value."""
-    total = 0
-    for k in range(n + 1):
-        if abs(2 * k - n) > ell:
-            total += math.comb(n, k)
-    return total
+    return sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) > ell)
 
 
 def tail_bound_zr(n: int, c: float, r: int) -> float:
@@ -214,9 +222,7 @@ def tail_fraction_exact_1d_holds(n: int, c: float) -> bool:
     For 2c integral the comparison squares both sides to stay in Q; other
     exponents fall back to a float comparison.
     """
-    ell = c * math.sqrt(n * math.log(n))
-    count = tail_count_exact_1d(n, ell)
-    frac = Fraction(count, 2**n)
+    frac = Fraction(tail_report_exact_1d(n, c).exceed_count, 2**n)
     two_c = 2 * c
     if two_c == int(two_c):
         # frac <= K / n^(c - 1/2)  <=>  frac^2 * n^(2c - 1) <= K^2
@@ -230,14 +236,10 @@ def endpoint_samples_zr(
 ) -> np.ndarray:
     """L1 group lengths of uniform word endpoints in Z^r, via multinomial counts."""
     out = np.empty(samples, dtype=np.int64)
-    done = 0
     probs = [1.0 / (2 * r)] * (2 * r)
-    while done < samples:
-        take = min(chunk, samples - done)
-        counts = rng.multinomial(n, probs, size=take)
-        disp = counts[:, 0::2] - counts[:, 1::2]
-        out[done : done + take] = np.abs(disp).sum(axis=1)
-        done += take
+    for done in range(0, samples, chunk):
+        counts = rng.multinomial(n, probs, size=min(chunk, samples - done))
+        out[done : done + chunk] = np.abs(counts[:, 0::2] - counts[:, 1::2]).sum(axis=1)
     return out
 
 
@@ -283,6 +285,4 @@ def slots_to_codes(slots: np.ndarray) -> np.ndarray:
 
 def sample_words(r: int, n: int, count: int, seed: int) -> Iterator[Word]:
     """`count` uniform length-n words, bit-reproducible from the seed."""
-    rng = make_rng(seed)
-    for row in slots_to_codes(sample_letter_matrix(r, n, count, rng)):
-        yield Word(row)
+    return map(Word, slots_to_codes(sample_letter_matrix(r, n, count, make_rng(seed))))

@@ -165,7 +165,7 @@ def iter_closed_codes(p: AbelianPresentation, n: int):
 
 def _exact_area(p: AbelianPresentation, max_expansions: int):
     """codes -> exact area: winding on standard Z^2, the oracle elsewhere."""
-    if p.is_standard_free and p.r == 2:
+    if p.is_standard_z2:
         return _area_z2_codes
 
     def oracle_area(codes):
@@ -346,7 +346,7 @@ def level_sums(
     states); pruned enumeration level by level elsewhere (budget counts
     words per level).
     """
-    if p.is_standard_free and p.r == 2:
+    if p.is_standard_z2:
         return _z2_level_sums(n_max, budget)
     return [
         closed_level_stats(p, t, budget=budget, max_expansions=max_expansions)[:2]
@@ -376,7 +376,7 @@ def smean_exact(p: AbelianPresentation, n: int, **kw) -> DehnReport:
     Standard Z^2 reads level n off one DP pass; elsewhere only the closed
     words of length n are enumerated.
     """
-    if p.is_standard_free and p.r == 2:
+    if p.is_standard_z2:
         level = level_sums(p, n, **kw)[n]
     else:
         level = closed_level_stats(p, n, **kw)[:2]
@@ -436,7 +436,7 @@ def osmean_by_endpoint(
     cells x steps x states); enumeration of every word otherwise (budget
     counts words), each closed by its endpoint's reversed combing word.
     """
-    if p.is_standard_free and p.r == 2 and c.kind == "staircase":
+    if p.is_standard_z2 and c.kind == "staircase":
         counts, sums, r = _z2_staircase_table(n, budget)
         return {
             p.canonical_form((int(x) - r, int(y) - r)): [int(counts[x, y]), int(sums[x, y])]
@@ -463,7 +463,7 @@ def osmean_by_endpoint(
 def _require_sampling_support(p: AbelianPresentation, samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    if not (p.is_standard_free and p.r == 2):
+    if not p.is_standard_z2:
         raise ValueError("samplers are implemented for the standard Z^2 presentation")
 
 

@@ -16,6 +16,10 @@ from .words import Word
 
 _Matrix = tuple[tuple[int, ...], ...]
 
+_COMMUTATOR_ROTATIONS = frozenset(
+    w[i:] + w[:i] for w in ((1, 2, -1, -2), (2, 1, -2, -1)) for i in range(4)
+)
+
 
 @dataclass(frozen=True)
 class SnfData:
@@ -177,6 +181,12 @@ class AbelianPresentation:
 
         # standard free-abelian: every relator abelianizes to zero
         self.is_standard_free = all(all(x == 0 for x in col) for col in cols)
+        # standard Z^2: r = 2 and every relator is [a1, a2] up to rotation and inversion
+        self.is_standard_z2 = (
+            self.r == 2
+            and bool(self.relators)
+            and all(w.codes in _COMMUTATOR_ROTATIONS for w in self.relators)
+        )
 
         self._identity = CanonicalForm(
             (0,) * self.free_rank, (0,) * len(self._torsion_idx)

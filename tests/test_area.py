@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import dehnlab.area as area_module
 from dehnlab import (
+    AbelianPresentation,
     AreaResult,
     Word,
     area_closed_at,
@@ -14,6 +16,7 @@ from dehnlab import (
     closed_area_result,
     free_abelian,
     make_combing,
+    smean_sampled,
     winding_field,
 )
 from dehnlab.area import _area_lower_bound, _fill_info
@@ -29,6 +32,31 @@ def _random_closed_z2(rng, n):
             1 for c in codes if c == 2
         ) == sum(1 for c in codes if c == -2):
             return Word(codes)
+
+
+def test_winding_shortcuts_need_the_standard_z2_presentation(z2, monkeypatch):
+    c = W("a1 a2 A1 A2")
+    doubled = AbelianPresentation(2, [c * c])  # abelianizes to 0, but is not [a1, a2]
+    assert not doubled.is_standard_z2
+    assert area_oracle(doubled, c * c) == 1
+    assert closed_area_result(doubled, c * c) == AreaResult.of(1)
+    with pytest.raises(ValueError):
+        smean_sampled(doubled, make_combing(doubled, "staircase"), 4, 10, seed=1)
+    empty = AbelianPresentation(2, [])  # [a1, a2] has no filling here
+    assert not empty.is_standard_z2
+    with pytest.raises(ValueError):
+        closed_area_result(empty, c)
+
+    winding_calls = []
+
+    def spy(codes):
+        winding_calls.append(codes)
+        return kernel(codes)
+
+    kernel = area_module._area_z2_codes
+    monkeypatch.setattr(area_module, "_area_z2_codes", spy)
+    assert closed_area_result(z2, c * c) == AreaResult.of(2)
+    assert winding_calls == [(c * c).codes]
 
 
 def test_winding_field_examples():

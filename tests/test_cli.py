@@ -113,6 +113,12 @@ def test_bad_group_is_config_error(capsys):
     assert "builtin" in err
 
 
+def test_count_over_the_frame_budget_exits_3(capsys):
+    code, _, err = run_cli(capsys, "count", "--group", "z3", "--n", "100")  # 201^3 cells
+    assert code == 3
+    assert "budget" in err
+
+
 def test_negative_length_is_config_error(capsys):
     for group, kind in (("z2", "smean"), ("z3", "smean"), ("zxz2", "mean"), ("z2", "D")):
         code, _, err = run_cli(capsys, "dehn", "--group", group, "--kind", kind, "--n", "-1")

@@ -1,13 +1,19 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dehnlab import (
+    AbelianPresentation,
     BudgetError,
+    Word,
     assumption_functions,
+    builtin_presentation,
     closed_walk_closed_form_z2,
+    enumerate_words,
+    free_abelian,
     kolmogorov_bound,
     make_rng,
     nonbacktracking_counts,
@@ -32,6 +38,61 @@ def test_walk_counts_examples(z2):
 def test_walk_counts_budget(z2):
     with pytest.raises(BudgetError):
         walk_counts(z2, 10, max_states=5)
+
+
+# (presentation, largest n) for the dense DP against enumeration; the images of
+# a1, a2 in <a1,a2 | a1^2 a2^3> are 3 and -2 on its one free axis
+DENSE_CASES = {
+    "z2": (lambda: builtin_presentation("z2"), 6),
+    "z3": (lambda: builtin_presentation("z3"), 5),
+    "z10": (lambda: builtin_presentation("z10"), 6),
+    "zxz2": (lambda: builtin_presentation("zxz2"), 6),
+    "a1^2a2^3": (lambda: AbelianPresentation(2, [Word((1, 1, 2, 2, 2))]), 6),
+    "a1^6,a2^4": (lambda: AbelianPresentation(3, [Word((1,) * 6), Word((2,) * 4)]), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_dense_counts_match_enumeration(name):
+    make, n_max = DENSE_CASES[name]
+    p = make()
+    for n in range(n_max + 1):
+        walks, nonbacktracking = Counter(), Counter()
+        for w in enumerate_words(p.r, n):
+            v = p.canonical_of_word(w)
+            walks[v] += 1
+            if all(a != -b for a, b in zip(w.codes, w.codes[1:])):
+                nonbacktracking[v] += 1
+        assert walk_counts(p, n).counts == walks, n
+        assert nonbacktracking_counts(p, n).counts == nonbacktracking, n
+
+
+@pytest.mark.parametrize("n", [31, 32, 40])
+def test_dense_counts_across_the_int64_limit(z2, n):
+    # 4^31 < 2^63 <= 4^32: n = 31 runs on int64 cells, n = 32 on Python ints;
+    # at n = 40 the origin cell alone, C(40, 20)^2, would overflow int64
+    t = walk_counts(z2, n)
+    assert t.total() == 4**n
+    assert t.get(z2.identity()) == (math.comb(n, n // 2) ** 2 if n % 2 == 0 else 0)
+    assert all(type(c) is int for c in t.counts.values())
+    assert nonbacktracking_counts(z2, n).total() == 4 * 3 ** (n - 1)
+
+
+def test_walk_budget_checked_before_allocation(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("frame allocated before the budget check")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(BudgetError):
+        walk_counts(free_abelian(3), 100)  # 201^3 cells at the default budget
+
+
+def test_nonbacktracking_budget_counts_each_last_letter(z2):
+    cells = 21 * 21  # the n = 10 frame on Z^2
+    assert walk_counts(z2, 10, max_states=cells).total() == 4**10
+    nonbacktracking_counts(z2, 10, max_states=4 * cells)
+    with pytest.raises(BudgetError):
+        nonbacktracking_counts(z2, 10, max_states=4 * cells - 1)
 
 
 def test_nonbacktracking_examples(z2):

@@ -1,0 +1,33 @@
+"""The demo scripts run from the source tree and exit cleanly."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 05_sampling_and_trends.py is left out: it takes about 8 s on its own
+DEMOS = [
+    "01_words_and_lengths.py",
+    "02_exact_areas.py",
+    "03_walks_and_cogrowth.py",
+    "04_mean_dehn_exact.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -174,6 +174,21 @@ def test_builtins():
         builtin_presentation("z4")
 
 
+def test_is_standard_z2():
+    assert builtin_presentation("z2").is_standard_z2
+    rotations = [(1, 2, -1, -2), (2, -1, -2, 1), (-1, 2, 1, -2), (-2, -1, 2, 1)]
+    assert AbelianPresentation(2, [Word(w) for w in rotations]).is_standard_z2
+    for p in (
+        builtin_presentation("z3"),
+        builtin_presentation("zxz2"),
+        AbelianPresentation(2, []),
+        AbelianPresentation(2, [Word((1, 2, -1, -2) * 2)]),
+        AbelianPresentation(2, [Word((1, 2, -1, -2)), Word((1, 1, -1, -1))]),
+        AbelianPresentation(2, [Word((1, 2, 1, -2))]),
+    ):
+        assert not p.is_standard_z2, p
+
+
 def test_relators_validated():
     with pytest.raises(ValueError):
         AbelianPresentation(1, [Word((1, 0), lazy=True)])
