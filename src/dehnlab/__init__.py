@@ -19,7 +19,6 @@ from .area import (
     winding_field,
 )
 from .cogrowth import (
-    F_RATIO_LIMIT_EMPIRICAL_Z2,
     PRINTED_F_LIMIT_Z2,
     SHARP_F_LIMIT_Z2,
     TruncatedSeries,

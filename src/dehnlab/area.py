@@ -193,6 +193,20 @@ def _splice(left, mid, right, cap):
     return tuple(out)
 
 
+def _power_exponents(relators) -> dict[int, int]:
+    """Generator index i -> least m with a pure power relator a_i^+-m.
+
+    Each relator is freely and cyclically reduced first.
+    """
+    power_of: dict[int, int] = {}
+    for rel in relators:
+        core = _cyclic_reduce(reduce_codes(rel.codes))
+        if core and len(set(core)) == 1:
+            i, m = abs(core[0]), len(core)
+            power_of[i] = min(power_of.get(i, m), m)
+    return power_of
+
+
 def _area_lower_bound(p: AbelianPresentation):
     """The certified area lower bound of p, as a function of a closed code sequence.
 
@@ -213,12 +227,7 @@ def _area_lower_bound(p: AbelianPresentation):
             return _projected_winding(codes, r)
 
     else:
-        power_of: dict[int, int] = {}
-        for rel in p.relators:
-            core = _cyclic_reduce(reduce_codes(rel.codes))
-            if core and len(set(core)) == 1:
-                i, m = abs(core[0]), len(core)
-                power_of[i] = min(power_of.get(i, m), m)
+        power_of = _power_exponents(p.relators)
         lcm = math.lcm(*power_of.values())
         weights = [(i, lcm // m) for i, m in power_of.items()]
 
@@ -312,17 +321,13 @@ def _fill_info(relators, r: int):
     every generator pair) and pure power relators a_i^m; the result maps each
     generator with a power relator to its smallest exponent.
     """
-    power_of: dict[int, int] = {}
     pairs = set()
     for rel in relators:
         core = _cyclic_reduce(reduce_codes(rel.codes))
-        if not core:
-            continue
-        if len(set(core)) == 1:
-            i, m = abs(core[0]), len(core)
-            power_of[i] = min(power_of.get(i, m), m)
+        if len(set(core)) <= 1:
+            continue  # trivial or a pure power
         # every rotation and inversion of a commutator reads x y x^-1 y^-1
-        elif (
+        if (
             len(core) == 4
             and core[2] == -core[0]
             and core[3] == -core[1]
@@ -332,7 +337,7 @@ def _fill_info(relators, r: int):
         else:
             return None
     needed = {frozenset((i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
-    return power_of if needed <= pairs else None
+    return _power_exponents(relators) if needed <= pairs else None
 
 
 def _sort_fill_upper(p: AbelianPresentation, codes):

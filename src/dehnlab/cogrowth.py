@@ -28,9 +28,6 @@ SHARP_F_LIMIT_Z2 = 4.0 / (3.0 * math.pi)
 # exact counts do not converge to it.
 PRINTED_F_LIMIT_Z2 = 4.0 / (3.0 * (math.sqrt(3.0) + 1.0) * math.pi)
 
-# The limit the exact counts are observed to approach, by its earlier name.
-F_RATIO_LIMIT_EMPIRICAL_Z2 = SHARP_F_LIMIT_Z2
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:

@@ -43,46 +43,17 @@ class StaircaseCombing(GeodesicCombing):
 
 
 class BfsLexCombing(GeodesicCombing):
-    """Breadth-first tree combing with lexicographic (generator, sign) tie-breaks."""
+    """The path to v in the presentation's BFS tree of the Cayley graph.
+
+    The BFS takes its frontier in discovery order and the codes in
+    generator_codes order (a1 < A1 < a2 < A2 ...), so by induction on the
+    level each tree path is the lexicographically least geodesic word.
+    """
 
     kind = "bfs-lex"
 
-    def __init__(self, p: AbelianPresentation):
-        super().__init__(p)
-        self._parent: dict[CanonicalForm, tuple[CanonicalForm, int] | None] = {
-            p.identity(): None
-        }
-        self._frontier = [p.identity()]
-        self._radius = 0
-
-    def _grow(self, radius: int) -> None:
-        p = self.p
-        while self._radius < radius and self._frontier:
-            nxt = []
-            for g in self._frontier:
-                for code in p.generator_codes:
-                    h = p.step(g, code)
-                    if h not in self._parent:
-                        self._parent[h] = (g, code)
-                        nxt.append(h)
-            self._frontier = nxt
-            self._radius += 1
-
     def comb_to(self, v: CanonicalForm) -> Word:
-        while v not in self._parent:
-            if not self._frontier:
-                raise ValueError(f"vertex {v} unreachable in the Cayley graph")
-            self._grow(self._radius + 1)
-        codes: list[int] = []
-        node = v
-        while True:
-            entry = self._parent[node]
-            if entry is None:
-                break
-            node, code = entry
-            codes.append(code)
-        codes.reverse()
-        return Word(tuple(codes))
+        return Word(self.p._tree_codes(v))
 
 
 def make_combing(p: AbelianPresentation, kind: str = "staircase") -> GeodesicCombing:

@@ -2,11 +2,12 @@
 
 Exact means on standard Z^2 come from a per-cell winding-number DP that totals
 the area of every word of a length without listing the words. D(n), whose
-maximum does not split per cell, other presentations and other combings use
-pruned enumeration of closed (or all) words, which is also the DP's test
-oracle. Sampled values come from seeded Monte Carlo with normal-approximation
-confidence intervals. All report values are exact rationals or float
-estimates, normalized by n (ln n)^2 from n = 2 on.
+maximum does not split per cell, other presentations and other combings walk
+the Cayley graph: one DFS over the ball as integer ids lists the closed words
+(pruned by group length) or every word with its endpoint, and is also the
+DP's test oracle. Sampled values come from seeded Monte Carlo with
+normal-approximation confidence intervals. All report values are exact
+rationals or float estimates, normalized by n (ln n)^2 from n = 2 on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .combing import GeodesicCombing
 from .counting import make_rng, sample_letter_matrix, slots_to_codes
 from .errors import BudgetError
 from .presentation import AbelianPresentation
-from .words import Word, check_enumeration_budget, enumerate_code_tuples, sphere_size
+from .words import Word, check_enumeration_budget, sphere_size
 
 KIND_D = "D"
 KIND_MEAN = "mean"
@@ -80,62 +81,35 @@ class DehnReport:
 # -- exact enumeration ------------------------------------------------------------
 
 
-def _iter_closed_codes_free(r: int, n: int):
-    """Closed length-n words on standard Z^r, by DFS pruned with the L1 metric."""
-    if n == 0:
-        yield ()
-        return
-    if n % 2:
-        return
-    k = 2 * r
-    codes = [0] * n
-    choice = [0] * n
-    applied: list = [None] * n
-    pos = [0] * r
-    l1 = 0
-    depth = 0
-    while depth >= 0:
-        i = choice[depth]
-        if i >= k:
-            choice[depth] = 0
-            depth -= 1
-            if depth >= 0:
-                ax, d = applied[depth]
-                pos[ax] -= d
-                l1 += abs(pos[ax]) - abs(pos[ax] + d)
-            continue
-        choice[depth] = i + 1
-        ax = i >> 1
-        d = 1 - ((i & 1) << 1)
-        rem = n - depth - 1
-        old = pos[ax]
-        nl1 = l1 - abs(old) + abs(old + d)
-        if nl1 > rem:
-            continue
-        codes[depth] = (ax + 1) if d > 0 else -(ax + 1)
-        if rem == 0:
-            yield tuple(codes)
-            continue
-        pos[ax] = old + d
-        l1 = nl1
-        applied[depth] = (ax, d)
-        depth += 1
+def _ball(p: AbelianPresentation, radius: int):
+    """The ball |g| <= radius as integer ids, 0 the identity: (elems, dist, moves).
+
+    moves[id][i] is the id of p.step(elems[id], generator_codes[i]), or -1
+    outside the ball.
+    """
+    table = p.length_table(radius)
+    elems = [g for g, ell in table.items() if ell <= radius]
+    index = {g: i for i, g in enumerate(elems)}
+    moves = [[index.get(p.step(g, c), -1) for c in p.generator_codes] for g in elems]
+    return elems, [table[g] for g in elems], moves
 
 
-def _iter_closed_codes_general(p: AbelianPresentation, n: int):
-    """Closed length-n words for any presentation, pruned by group length."""
+def _walks(p: AbelianPresentation, ball, n: int, closed: bool):
+    """Yield (codes, end id) for the length-n words, by DFS in generator_codes order.
+
+    Closed walks need the ball of radius n // 2 (every prefix of a closed word
+    lies that close to 1) and prune on distance; open walks need radius n.
+    """
+    _, dist, moves = ball
+    gens = p.generator_codes
+    k = len(gens)
     if n == 0:
-        yield ()
+        yield (), 0
         return
-    lengths = p.length_table(n)
-    moves = [(c, p.generator_image(c)) for c in p.generator_codes]
-    k = len(moves)
     codes = [0] * n
-    cfs = [p.identity()] * (n + 1)
+    ids = [0] * n
     choice = [0] * n
     depth = 0
-    compose = p.compose
-    get_len = lengths.get
     while depth >= 0:
         i = choice[depth]
         if i >= k:
@@ -143,24 +117,21 @@ def _iter_closed_codes_general(p: AbelianPresentation, n: int):
             depth -= 1
             continue
         choice[depth] = i + 1
-        c, img = moves[i]
-        cf2 = compose(cfs[depth], img)
+        nxt = moves[ids[depth]][i]
         rem = n - depth - 1
-        ell = get_len(cf2)
-        if ell is None or ell > rem:
+        if nxt < 0 or (closed and dist[nxt] > rem):
             continue
-        codes[depth] = c
+        codes[depth] = gens[i]
         if rem == 0:
-            yield tuple(codes)
+            yield tuple(codes), nxt
             continue
         depth += 1
-        cfs[depth] = cf2
+        ids[depth] = nxt
 
 
 def iter_closed_codes(p: AbelianPresentation, n: int):
-    if p.is_standard_free:
-        return _iter_closed_codes_free(p.r, n)
-    return _iter_closed_codes_general(p, n)
+    """Closed length-n code tuples, in the order of enumerate_code_tuples."""
+    return (codes for codes, _ in _walks(p, _ball(p, n // 2), n, True))
 
 
 def _exact_area(p: AbelianPresentation, max_expansions: int):
@@ -442,19 +413,21 @@ def osmean_by_endpoint(
             p.canonical_form((int(x) - r, int(y) - r)): [int(counts[x, y]), int(sums[x, y])]
             for x, y in zip(*np.nonzero(counts))
         }
+    check_enumeration_budget(p.r, n, budget)
     area = _exact_area(p, max_expansions)
+    ball = _ball(p, n)
+    elems = ball[0]
     out: dict = {}
-    close: dict = {}
-    for codes in enumerate_code_tuples(p.r, n, budget=budget):
-        v = p.canonical_of_word(Word(codes))
-        back = close.get(v)
+    close: list = [None] * len(elems)
+    for codes, end in _walks(p, ball, n, False):
+        back = close[end]
         if back is None:
-            back = close[v] = c.comb_to(v).inverse().codes
-            out[v] = [0, 0]
-        entry = out[v]
+            back = close[end] = c.comb_to(elems[end]).inverse().codes
+            out[end] = [0, 0]
+        entry = out[end]
         entry[0] += 1
         entry[1] += area(codes + back)
-    return out
+    return {elems[end]: entry for end, entry in out.items()}
 
 
 # -- sampling ---------------------------------------------------------------------

@@ -200,7 +200,13 @@ class AbelianPresentation:
             )
             for c in self.generator_codes
         }
+        # one BFS of the Cayley graph: each element's length and the
+        # (element, code) it was first reached from, frontier in discovery
+        # order and codes in generator_codes order
         self._length_table: dict[CanonicalForm, int] = {self._identity: 0}
+        self._bfs_parent: dict[CanonicalForm, tuple[CanonicalForm, int] | None] = {
+            self._identity: None
+        }
         self._length_frontier: list[CanonicalForm] = [self._identity]
         self._length_radius = 0
 
@@ -264,6 +270,7 @@ class AbelianPresentation:
                     h = self.step(g, code)
                     if h not in self._length_table:
                         self._length_table[h] = self._length_radius + 1
+                        self._bfs_parent[h] = (g, code)
                         nxt.append(h)
             self._length_frontier = nxt
             self._length_radius += 1
@@ -272,6 +279,20 @@ class AbelianPresentation:
         """Group lengths of all elements with |g| <= radius (BFS, memoized)."""
         self._grow_length_table(radius)
         return self._length_table
+
+    def _tree_codes(self, g: CanonicalForm) -> tuple[int, ...]:
+        """Codes of the BFS tree path from 1 to g, growing the BFS until g is reached."""
+        while g not in self._bfs_parent:
+            if not self._length_frontier:
+                raise ValueError(f"vertex {g} unreachable in the Cayley graph")
+            self._grow_length_table(self._length_radius + 1)
+        codes = []
+        entry = self._bfs_parent[g]
+        while entry is not None:
+            g, code = entry
+            codes.append(code)
+            entry = self._bfs_parent[g]
+        return tuple(reversed(codes))
 
     def group_length(self, g: CanonicalForm, radius_cap: int) -> int:
         """Exact |g| in the group; L1 on the free part when torsion-free."""

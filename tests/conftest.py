@@ -1,12 +1,27 @@
 import pytest
 from hypothesis import settings
 
-from dehnlab import Word, builtin_presentation, cyclic, make_combing
+from dehnlab import AbelianPresentation, Word, builtin_presentation, cyclic, make_combing
+from dehnlab.presentation import commutator
 
 
 def W(text: str) -> Word:
     """Shorthand for Word.from_tokens in tests."""
     return Word.from_tokens(text)
+
+
+# Presentations whose Cayley graphs the walker and the BFS tree are checked
+# on: free, torsion, finite, a relator that only abelianizes to 0, and an
+# abelianized relator mixing two generators. Each call builds a fresh one.
+WALK_PRESENTATIONS = {
+    "z2": lambda: builtin_presentation("z2"),
+    "z3": lambda: builtin_presentation("z3"),
+    "zxz2": lambda: builtin_presentation("zxz2"),
+    "z10": lambda: builtin_presentation("z10"),
+    "z/3": lambda: cyclic(3),
+    "[a1,a2]^2": lambda: AbelianPresentation(2, [Word((1, 2, -1, -2) * 2)]),
+    "a1a1a2,[a1,a2]": lambda: AbelianPresentation(2, [Word((1, 1, 2)), commutator(1, 2)]),
+}
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from dehnlab import (
-    F_RATIO_LIMIT_EMPIRICAL_Z2,
     PRINTED_F_LIMIT_Z2,
     SHARP_F_LIMIT_Z2,
     TruncatedSeries,
@@ -146,16 +145,15 @@ def test_sharp_ratio_report():
     # monotone convergence is not asserted (small lengths wobble with parity);
     # the tail is increasing and eventually close to the empirical limit
     assert all(ratios[two_n] < ratios[two_n + 2] for two_n in range(16, 80, 2))
-    assert ratios[80] < F_RATIO_LIMIT_EMPIRICAL_Z2
-    assert abs(ratios[80] - F_RATIO_LIMIT_EMPIRICAL_Z2) / F_RATIO_LIMIT_EMPIRICAL_Z2 < 0.02
-    assert abs(ratios[80] - F_RATIO_LIMIT_EMPIRICAL_Z2) < abs(
-        ratios[20] - F_RATIO_LIMIT_EMPIRICAL_Z2
+    assert ratios[80] < SHARP_F_LIMIT_Z2
+    assert abs(ratios[80] - SHARP_F_LIMIT_Z2) / SHARP_F_LIMIT_Z2 < 0.02
+    assert abs(ratios[80] - SHARP_F_LIMIT_Z2) < abs(
+        ratios[20] - SHARP_F_LIMIT_Z2
     )
     # the printed limit constant is exposed alongside but the exact counts
     # converge to (sqrt(3)+1) times it; see the second-moment certificate
     # beside acceptance criterion 6
-    assert F_RATIO_LIMIT_EMPIRICAL_Z2 == SHARP_F_LIMIT_Z2
-    assert F_RATIO_LIMIT_EMPIRICAL_Z2 == pytest.approx((math.sqrt(3) + 1) * PRINTED_F_LIMIT_Z2)
+    assert SHARP_F_LIMIT_Z2 == pytest.approx((math.sqrt(3) + 1) * PRINTED_F_LIMIT_Z2)
 
 
 def test_f_ratio_z2_guard():

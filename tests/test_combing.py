@@ -10,8 +10,9 @@ from dehnlab import (
     length_A,
     make_combing,
 )
+from dehnlab.words import enumerate_code_tuples
 
-from conftest import W
+from conftest import WALK_PRESENTATIONS, W
 
 
 def test_staircase_examples(z2, st2):
@@ -59,6 +60,20 @@ def test_geodesy_bfs_lex_general(name):
         w = comb.comb_to(g)
         assert length_A(w) == ell
         assert p.canonical_of_word(w) == g
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PRESENTATIONS))
+def test_bfs_lex_is_least_geodesic(name):
+    # the tree word to v is the first length-|v| word reaching v in the
+    # order a1 < A1 < a2 < A2 ..., found by brute force
+    p = WALK_PRESENTATIONS[name]()
+    comb = make_combing(p, "bfs-lex")
+    for ell in range(5):
+        least = {}
+        for codes in enumerate_code_tuples(p.r, ell):
+            least.setdefault(p.canonical_of_word(Word(codes)), codes)
+        for v in (g for g, k in p.length_table(ell).items() if k == ell):
+            assert comb.comb_to(v).codes == least[v], (v, ell)
 
 
 def test_translation_identity(z2, st2):

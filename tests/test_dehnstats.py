@@ -38,7 +38,9 @@ from dehnlab.dehnstats import (
     level_sums,
 )
 from dehnlab.errors import BudgetError
-from dehnlab.words import enumerate_code_tuples
+from dehnlab.words import Word, enumerate_code_tuples
+
+from conftest import WALK_PRESENTATIONS
 
 # agreed on by the winding DP and by the full 4^12 enumeration
 OSMEAN_Z2_N12 = Fraction(843903, 262144)
@@ -373,6 +375,15 @@ def test_closed_enumeration_matches_guba_count(z2):
         count = sum(1 for _ in iter_closed_codes(z2, n))
         expected = math.comb(n, n // 2) ** 2 if n % 2 == 0 else 0
         assert count == expected
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PRESENTATIONS))
+def test_closed_words_in_enumeration_order(name):
+    # membership and order, against filtering every word of each length
+    p = WALK_PRESENTATIONS[name]()
+    for n in range(8):
+        expected = [w for w in enumerate_code_tuples(p.r, n) if p.is_identity(Word(w))]
+        assert list(iter_closed_codes(p, n)) == expected, n
 
 
 def test_enum_budget(z2, st2):
