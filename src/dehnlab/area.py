@@ -18,6 +18,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .combing import GeodesicCombing, close_path, comb_between
 from .errors import BudgetError
 from .presentation import AbelianPresentation, CanonicalForm, abelianize
@@ -101,6 +103,46 @@ def _area_z2_codes(codes, cells: dict | None = None) -> int:
         running += d
         prev_v = v
     return total
+
+
+def _area_z2_rows(codes) -> np.ndarray:
+    """Winding area of each row of an (S, L) matrix of closed Z^2 code rows.
+
+    Code 0 is right padding. This is the column-event sweep of
+    `_area_z2_codes` for a whole block at once: each horizontal step becomes
+    one sorted (row, column, height, sign) key. A closed row crosses each
+    column as often rightward as leftward, so a plain cumsum of the signs is
+    the running winding inside each (row, column) segment and reads 0 between
+    segments, where the key gaps it multiplies mean nothing. Raises unless
+    every row is closed and uses only the two generators.
+    """
+    codes = np.asarray(codes)
+    s, length = codes.shape
+    if codes.size and (codes.min() < -2 or codes.max() > 2):
+        bad = codes[(codes < -2) | (codes > 2)][0]
+        raise ValueError(f"letter code {bad} is not a Z^2 generator")
+    if not length:
+        return np.zeros(s, dtype=np.int64)
+    flat = codes.ravel()
+    span = 2 * length + 1
+    # x * span + y after each step; closed rows return it to 0, so one cumsum
+    # over the flattened block restarts at every row
+    pos = np.array([-1, -span, 0, span, 1])[flat + 2]
+    np.cumsum(pos, out=pos)
+    if pos[length - 1 :: length].any():
+        raise ValueError("word is not closed in Z^2")
+    steps = np.flatnonzero((flat == 1) | (flat == -1))
+    right = flat[steps] > 0
+    # the edge (u, v)-(u+1, v) has u = x before a rightward step, x after a
+    # leftward one; the offset makes both digits (u, v) non-negative
+    cell = pos[steps] - right * span + length * (span + 1)
+    keys = ((steps // length) * span * span + cell) * 2 + right
+    keys.sort()
+    running = np.cumsum((keys & 1) * 2 - 1)
+    keys >>= 1
+    return np.bincount(
+        keys[:-1] // (span * span), weights=np.abs(running[:-1]) * np.diff(keys), minlength=s
+    ).astype(np.int64)
 
 
 def winding_field(w: Word) -> WindingField:

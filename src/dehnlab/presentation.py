@@ -278,7 +278,7 @@ class AbelianPresentation:
     def length_table(self, radius: int) -> dict[CanonicalForm, int]:
         """Group lengths of all elements with |g| <= radius (BFS, memoized)."""
         self._grow_length_table(radius)
-        return self._length_table
+        return {g: ell for g, ell in self._length_table.items() if ell <= radius}
 
     def _tree_codes(self, g: CanonicalForm) -> tuple[int, ...]:
         """Codes of the BFS tree path from 1 to g, growing the BFS until g is reached."""

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import dehnlab.area as area_module
@@ -19,7 +20,7 @@ from dehnlab import (
     smean_sampled,
     winding_field,
 )
-from dehnlab.area import _area_lower_bound, _fill_info
+from dehnlab.area import _area_lower_bound, _area_z2_codes, _area_z2_rows, _fill_info
 from dehnlab.dehnstats import iter_closed_codes
 
 from conftest import W
@@ -74,6 +75,27 @@ def test_winding_rejects_open_words():
         area_exact_z2(Word((1, 0, -1), lazy=True))
     with pytest.raises(ValueError):
         area_exact_z2(W("a3 A3"))  # outside the two-generator alphabet
+
+
+def test_batched_winding_matches_the_per_word_kernel(z2):
+    words = [codes for n in range(0, 9, 2) for codes in iter_closed_codes(z2, n)]
+    expected = [_area_z2_codes(codes) for codes in words]
+    for width in (8, 9, 13):
+        block = np.zeros((len(words), width), dtype=np.int8)
+        for row, codes in zip(block, words):
+            row[: len(codes)] = codes
+        assert _area_z2_rows(block).tolist() == expected
+
+
+def test_batched_winding_rejects_open_rows_and_foreign_letters():
+    with pytest.raises(ValueError, match="not closed"):
+        _area_z2_rows(np.array([[1, 2, -1, -2], [1, 2, 0, 0]]))
+    with pytest.raises(ValueError, match="not closed"):
+        _area_z2_rows(np.array([[1, 2], [-2, -1]]))  # closed only across the row break
+    with pytest.raises(ValueError, match="letter code 3"):
+        _area_z2_rows(np.array([[1, 3, -3, -1]]))
+    assert _area_z2_rows(np.zeros((3, 5), dtype=np.int8)).tolist() == [0, 0, 0]
+    assert _area_z2_rows(np.zeros((2, 0), dtype=np.int8)).tolist() == [0, 0]
 
 
 def test_area_exact_examples():

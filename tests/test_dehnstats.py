@@ -26,8 +26,10 @@ from dehnlab import (
     walk_counts,
 )
 from dehnlab.area import _area_z2_codes
+from dehnlab.counting import make_rng, sample_letter_matrix, slots_to_codes
 from dehnlab.dehnstats import (
     DEFAULT_DP_BUDGET,
+    SAMPLE_BLOCK_LETTERS,
     DehnReport,
     _dp_dtype,
     _dp_work,
@@ -294,6 +296,34 @@ def test_samplers_reject_nonpositive_sample_counts(z2, st2, sampler, samples):
 def test_smean_sampled_odd_is_exact_zero(z2, st2):
     rep = smean_sampled(z2, st2, 5, 100, seed=1)
     assert rep.value == 0
+
+
+def _osmean_rows(z2, st2, n, samples, seed):
+    codes = slots_to_codes(sample_letter_matrix(2, n, samples, make_rng(seed)))
+    for row in codes.tolist():
+        end = z2.canonical_form((row.count(1) - row.count(-1), row.count(2) - row.count(-2)))
+        yield row + list(st2.comb_to(end).inverse().codes)
+
+
+def _smean_rows(n, samples, seed):
+    rng = make_rng(seed)
+    half = np.repeat(np.array([1, -1], dtype=np.int8), n // 2)
+    for _ in range(samples):
+        u = rng.permutation(half)
+        v = rng.permutation(half)
+        yield np.where(u == v, u, 2 * u).tolist()
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK_LETTERS // 1024 + 1])
+def test_block_scoring_matches_the_per_word_kernel(z2, st2, samples):
+    # one row and one row past a full block: the blocks score every row once
+    for sampler, rows in [
+        (osmean_sampled, _osmean_rows(z2, st2, 1024, samples, 20061)),
+        (smean_sampled, _smean_rows(1024, samples, 20061)),
+    ]:
+        areas = np.array([_area_z2_codes(row) for row in rows], dtype=np.float64)
+        assert len(areas) == samples
+        assert sampler(z2, st2, 1024, samples, seed=20061).estimate == float(np.mean(areas))
 
 
 def test_sampled_reports_are_deterministic(z2, st2):

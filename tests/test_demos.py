@@ -9,12 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_sampling_and_trends.py is left out: it takes about 8 s on its own
 DEMOS = [
     "01_words_and_lengths.py",
     "02_exact_areas.py",
     "03_walks_and_cogrowth.py",
     "04_mean_dehn_exact.py",
+    "05_sampling_and_trends.py",
 ]
 
 

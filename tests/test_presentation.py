@@ -99,6 +99,14 @@ def test_group_length_cap(zxz2):
         zxz2.group_length(far, 3)
 
 
+def test_length_table_stays_within_its_radius():
+    p = builtin_presentation("zxz2")
+    assert len(p.length_table(2)) == 8
+    assert len(p.length_table(10)) == 40
+    table = p.length_table(2)
+    assert len(table) == 8 and max(table.values()) == 2
+
+
 def test_is_identity(z2, z10):
     assert z2.is_identity(W("a1 a2 A1 A2"))
     assert z10.is_identity(Word((1,) * 10))

@@ -1,8 +1,9 @@
 """Property tests: the winding DP against enumeration, area on Z^2 (symmetries,
-winding field), and the projected-winding bound on Z^3."""
+winding field, the batched kernel), and the projected-winding bound on Z^3."""
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from dehnlab import (
     osmean_exact,
     winding_field,
 )
+from dehnlab.area import _area_z2_rows
 from dehnlab.dehnstats import closed_level_stats, level_sums
 
 Z2 = builtin_presentation("z2")
@@ -84,6 +86,15 @@ def test_z2_area_invariant_under_square_symmetries(codes):
 @given(closed_words(2))
 def test_winding_field_mass_is_the_area(codes):
     assert winding_field(Word(codes)).l1() == area_exact_z2(Word(codes))
+
+
+@given(st.lists(st.tuples(closed_words(2), st.integers(0, 5)), min_size=1, max_size=6))
+def test_batched_winding_matches_the_per_word_kernel(rows):
+    width = max(len(codes) + pad for codes, pad in rows)
+    block = np.zeros((len(rows), width), dtype=np.int8)
+    for row, (codes, _) in zip(block, rows):
+        row[: len(codes)] = codes
+    assert _area_z2_rows(block).tolist() == [area_exact_z2(Word(codes)) for codes, _ in rows]
 
 
 @given(closed_words(3), st.integers(0, 64), st.permutations((1, 2, 3)))
