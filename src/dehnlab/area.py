@@ -15,6 +15,7 @@ the oracle and is the lower end of every reported bracket.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,6 +222,22 @@ def _relator_rotations(p: AbelianPresentation):
     return sorted(rots)
 
 
+def _relator_flips(p: AbelianPresentation) -> list[tuple[int, ...]]:
+    """Generator sign flips that map `_relator_rotations(p)` onto itself.
+
+    A flip is a tuple of r signs; a_i goes to a_i^signs[i-1]. Each of the 2^r
+    candidates is tested, and the identity comes first. A kept flip maps the
+    oracle's search graph onto itself and leaves its cap and its lower bound
+    unchanged, so `area_oracle` gives a word and its image the same area.
+    """
+    rots = set(_relator_rotations(p))
+    out = []
+    for signs in itertools.product((1, -1), repeat=p.r):
+        if {tuple(signs[abs(c) - 1] * c for c in rel) for rel in rots} == rots:
+            out.append(signs)
+    return out
+
+
 def _splice(left, mid, right, cap):
     """Freely reduce left + mid + right, pruning above the length cap."""
     out = list(left)
@@ -302,6 +319,14 @@ def area_oracle(
     through longer intermediates would be missed; the exhaustive agreement
     suite bounds that risk empirically. On budget exhaustion a certified
     AreaResult interval is returned instead of an int.
+
+    The capped search sees w only through its free reduction, and it
+    respects word inversion and every flip of `_relator_flips(p)`: each maps
+    the search graph onto itself and keeps the cap and the consistent
+    heuristic, so A* returns the same least cost on every image (only the
+    expansion count may differ, through heap tie-breaking). Cyclic rotation
+    is not such a symmetry: it changes the free reduction that the cap is
+    measured from, so a rotated word can search a different capped graph.
     """
     if w.lazy:
         raise ValueError("paths are non-lazy words")

@@ -25,7 +25,7 @@ from dehnlab import (
     smean_sampled,
     walk_counts,
 )
-from dehnlab.area import _area_z2_codes
+from dehnlab.area import _area_z2_codes, area_oracle
 from dehnlab.counting import make_rng, sample_letter_matrix, slots_to_codes
 from dehnlab.dehnstats import (
     DEFAULT_DP_BUDGET,
@@ -253,6 +253,29 @@ def test_level_stats_keyed_on_every_oracle_argument():
     assert closed_level_stats(p, 4) == (70, 52, 2)
     with pytest.raises(BudgetError):
         closed_level_stats(p, 4, max_expansions=0)
+
+
+@pytest.mark.parametrize("name, n_max", [("zxz2", 6), ("z3", 4), ("a1a1a2,[a1,a2]", 6)])
+def test_level_stats_match_a_plain_oracle_loop(name, n_max):
+    # one oracle search per class of words must give what a search per word gives
+    p = WALK_PRESENTATIONS[name]()
+    for n in range(n_max + 1):
+        areas = [area_oracle(p, Word(codes)) for codes in iter_closed_codes(p, n)]
+        assert closed_level_stats(p, n) == (len(areas), sum(areas), max(areas, default=0))
+
+
+def test_smean_zxz2_6_pin(zxz2):
+    assert closed_level_stats(zxz2, 6) == (924, 1008, 3)
+    assert smean_exact(zxz2, 6).value == Fraction(12, 11)
+
+
+@pytest.mark.parametrize("name", ["zxz2", "a1a1a2,[a1,a2]"])
+def test_oracle_memo_lives_for_one_call(name):
+    # a default call fills every class; a later starved call must search again
+    p = WALK_PRESENTATIONS[name]()
+    closed_level_stats(p, 6)
+    with pytest.raises(BudgetError):
+        closed_level_stats(p, 6, max_expansions=0)
 
 
 def test_relation_check(z2):

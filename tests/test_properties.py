@@ -1,5 +1,6 @@
 """Property tests: the winding DP against enumeration, area on Z^2 (symmetries,
-winding field, the batched kernel), and the projected-winding bound on Z^3."""
+winding field, the batched kernel), the projected-winding bound on Z^3, and the
+oracle's symmetries on zxz2 and Z^3."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from dehnlab import (
     Word,
     area_exact_z2,
     area_lower_zr,
+    area_oracle,
     builtin_presentation,
     close_path,
     enumerate_words,
@@ -19,8 +21,10 @@ from dehnlab import (
     osmean_exact,
     winding_field,
 )
-from dehnlab.area import _area_z2_rows
+from dehnlab.area import _area_z2_rows, _relator_flips
 from dehnlab.dehnstats import closed_level_stats, level_sums
+
+from conftest import WALK_PRESENTATIONS
 
 Z2 = builtin_presentation("z2")
 STAIRCASE = make_combing(Z2, "staircase")
@@ -44,10 +48,10 @@ def test_dp_osmean_matches_close_path_enumeration(n):
 
 
 @st.composite
-def closed_words(draw, r):
+def closed_words(draw, r, max_size=24):
     """A random Z^r path closed by an arbitrary reordering of its return."""
     letters = [c for i in range(1, r + 1) for c in (i, -i)]
-    codes = draw(st.lists(st.sampled_from(letters), max_size=24))
+    codes = draw(st.lists(st.sampled_from(letters), max_size=max_size))
     back = []
     for i in range(1, r + 1):
         e = codes.count(i) - codes.count(-i)
@@ -110,3 +114,41 @@ def test_projected_winding_invariant_under_rotation_inversion_and_relabelling(co
 @given(closed_words(2))
 def test_projected_winding_of_a_plane_word_is_its_area(codes):
     assert area_lower_zr(Word(codes), 3) == area_exact_z2(Word(codes))
+
+
+ZXZ2 = builtin_presentation("zxz2")
+Z3 = builtin_presentation("z3")
+
+
+def test_relator_flips():
+    assert _relator_flips(ZXZ2) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert len(_relator_flips(Z3)) == 8
+    # a1 a1 a2 is kept only by flipping both generators
+    assert _relator_flips(WALK_PRESENTATIONS["a1a1a2,[a1,a2]"]()) == [(1, 1), (-1, -1)]
+
+
+@st.composite
+def zxz2_closed_words(draw):
+    """A closed zxz2 word of at most 8 letters: a closed Z^2 word and maybe a2^+-2."""
+    codes = draw(closed_words(2, max_size=3))
+    k = draw(st.integers(0, len(codes)))
+    return codes[:k] + draw(st.sampled_from([(), (2, 2), (-2, -2)])) + codes[k:]
+
+
+def _oracle_images(p, codes):
+    """The oracle's area on codes, its inverse and every relator flip of codes."""
+    inverse = tuple(-c for c in reversed(codes))
+    images = [inverse] + [
+        tuple(signs[abs(c) - 1] * c for c in codes) for signs in _relator_flips(p)
+    ]
+    return {area_oracle(p, Word(w)) for w in images}
+
+
+@given(zxz2_closed_words())
+def test_oracle_invariant_under_inversion_and_flips_on_zxz2(codes):
+    assert _oracle_images(ZXZ2, codes) == {area_oracle(ZXZ2, Word(codes))}
+
+
+@given(closed_words(3, max_size=4))
+def test_oracle_invariant_under_inversion_and_flips_on_z3(codes):
+    assert _oracle_images(Z3, codes) == {area_oracle(Z3, Word(codes))}
