@@ -238,18 +238,44 @@ def _relator_flips(p: AbelianPresentation) -> list[tuple[int, ...]]:
     return out
 
 
-def _splice(left, mid, right, cap):
-    """Freely reduce left + mid + right, pruning above the length cap."""
-    out = list(left)
-    for part in (mid, right):
-        for c in part:
-            if out and out[-1] == -c:
-                out.pop()
+def _moves(codes, rots, cap):
+    """Yield (i, t, word): the free reduction of codes[:i] + rots[t] + codes[i:].
+
+    This is the oracle's move generator; words longer than cap are pruned.
+    codes is freely reduced and every rotation cyclically reduced, so letters
+    cancel only at the two junctions, and the two sides of codes meet only
+    when the rotation is used up. The cancellations are counted by index and
+    the cap is checked before a word is built. The pair (i, t) is skipped
+    when rots[t] ends in codes[i - 1]: that word is the one made by the
+    rotation rots[t][-1:] + rots[t][:-1] at i - 1, which rots also holds.
+    """
+    n = len(codes)
+    sized = [(t, rel, len(rel)) for t, rel in enumerate(rots)]
+    for i in range(n + 1):
+        before = codes[i - 1] if i else 0
+        after = codes[i] if i < n else 0
+        for t, rel, m in sized:
+            if rel[-1] == before:
+                continue
+            k = 0
+            if rel[0] == -before:
+                k = 1
+                while k < i and k < m and codes[i - 1 - k] == -rel[k]:
+                    k += 1
+            j = 0
+            if k < m and rel[-1] == -after:
+                j = 1
+                while j < n - i and k + j < m and codes[i + j] == -rel[m - 1 - j]:
+                    j += 1
+            if k + j < m:
+                if n + m - 2 * (k + j) <= cap:
+                    yield i, t, codes[: i - k] + rel[k : m - j] + codes[i + j :]
             else:
-                out.append(c)
-    if len(out) > cap:
-        return None
-    return tuple(out)
+                a, b = i - k, i + j
+                while a and b < n and codes[a - 1] == -codes[b]:
+                    a -= 1
+                    b += 1
+                yield i, t, codes[:a] + codes[b:]
 
 
 def _power_exponents(relators) -> dict[int, int]:
@@ -266,6 +292,42 @@ def _power_exponents(relators) -> dict[int, int]:
     return power_of
 
 
+def _exponent_sums(codes, r: int) -> list[int]:
+    """Exponent sum of each generator a_1..a_r, at indices 1..r (index 0 is unused)."""
+    exps = [0] * (r + 1)
+    for c in codes:
+        exps[abs(c)] += 1 if c > 0 else -1
+    return exps
+
+
+def _per_unit(mass, unit: int):
+    """x -> ceil(mass(x) / unit), and 0 when unit is 0."""
+    if unit == 0:
+        return lambda x: 0
+    if unit == 1:
+        return mass
+    return lambda x: -(-mass(x) // unit)
+
+
+def _exponent_bound(p: AbelianPresentation):
+    """The torsion route of `_area_lower_bound`, as a function of `_exponent_sums`.
+
+    None when every relator is closed in Z^r: there the bound is the
+    projected winding, which depends on more than the exponent sums.
+    """
+    if p.is_standard_free:
+        return None
+    power_of = _power_exponents(p.relators)
+    lcm = math.lcm(*power_of.values())
+    weights = [(i, lcm // m) for i, m in power_of.items()]
+
+    def mass(exps):
+        return sum(abs(exps[i]) * wt for i, wt in weights)
+
+    unit = max((mass(_exponent_sums(rel.codes, p.r)) for rel in p.relators), default=0)
+    return _per_unit(mass, unit)
+
+
 def _area_lower_bound(p: AbelianPresentation):
     """The certified area lower bound of p, as a function of a closed code sequence.
 
@@ -280,28 +342,15 @@ def _area_lower_bound(p: AbelianPresentation):
     when there are several), weighted by the integers lcm / m_i.
     """
     r = p.r
-    if p.is_standard_free:
+    bound = _exponent_bound(p)
+    if bound is not None:
+        return lambda codes: bound(_exponent_sums(codes, r))
 
-        def mass(codes):
-            return _projected_winding(codes, r)
-
-    else:
-        power_of = _power_exponents(p.relators)
-        lcm = math.lcm(*power_of.values())
-        weights = [(i, lcm // m) for i, m in power_of.items()]
-
-        def mass(codes):
-            exps = [0] * (r + 1)
-            for c in codes:
-                exps[abs(c)] += 1 if c > 0 else -1
-            return sum(abs(exps[i]) * wt for i, wt in weights)
+    def mass(codes):
+        return _projected_winding(codes, r)
 
     unit = max((mass(reduce_codes(rel.codes)) for rel in p.relators), default=0)
-    if unit == 0:
-        return lambda codes: 0
-    if unit == 1:
-        return mass
-    return lambda codes: -(-mass(codes) // unit)
+    return _per_unit(mass, unit)
 
 
 def area_oracle(
@@ -319,6 +368,15 @@ def area_oracle(
     through longer intermediates would be missed; the exhaustive agreement
     suite bounds that risk empirically. On budget exhaustion a certified
     AreaResult interval is returned instead of an int.
+
+    `_moves` generates the moves: letters cancel only at the two junctions
+    of the splice, so it counts the cancellations and checks the cap before
+    building a word, and it skips a rotation whose word a neighbouring
+    rotation already makes at the split before. On the torsion route the
+    bound reads only exponent sums, so it is scored once per popped word
+    for each relator's exponent shift, not once per pushed word. Neither
+    changes the successor set or the heap keys (f, -g, word), which are
+    totally ordered, so the words are popped in the same order.
 
     The capped search sees w only through its free reduction, and it
     respects word inversion and every flip of `_relator_flips(p)`: each maps
@@ -341,6 +399,12 @@ def area_oracle(
     maxrel = max(len(t) for t in rots)
     cap = len(start) + (2 * maxrel if slack is None else slack)
     hfun = _area_lower_bound(p)
+    # Off the standard free presentations the bound reads only exponent
+    # sums, which free reduction keeps: every word made with rots[t] is
+    # scored from e(codes) + e(rots[t]), once per popped word and shift.
+    exp_bound = _exponent_bound(p)
+    shifts = sorted({tuple(_exponent_sums(rel, p.r)) for rel in rots})
+    shift_of = [shifts.index(tuple(_exponent_sums(rel, p.r))) for rel in rots]
 
     g_of = {start: 0}
     heap = [(hfun(start), 0, start)]
@@ -357,16 +421,15 @@ def area_oracle(
         expansions += 1
         if expansions > max_expansions:
             break
-        for i in range(len(codes) + 1):
-            left, right = codes[:i], codes[i:]
-            for rel in rots:
-                nxt = _splice(left, rel, right, cap)
-                if nxt is None:
-                    continue
-                g2 = g + 1
-                if g2 < g_of.get(nxt, g2 + 1):
-                    g_of[nxt] = g2
-                    heapq.heappush(heap, (g2 + hfun(nxt), -g2, nxt))
+        g2 = g + 1
+        if exp_bound is not None:
+            e = _exponent_sums(codes, p.r)
+            h_of = [exp_bound([a + b for a, b in zip(e, d)]) for d in shifts]
+        for _, t, nxt in _moves(codes, rots, cap):
+            if g2 < g_of.get(nxt, g2 + 1):
+                g_of[nxt] = g2
+                h = hfun(nxt) if exp_bound is None else h_of[shift_of[t]]
+                heapq.heappush(heap, (g2 + h, -g2, nxt))
 
     # Not solved: popped f values are non-decreasing lower bounds on the area.
     lower = last_f

@@ -302,6 +302,26 @@ def test_oracle_budget_interval(z2):
     assert area_oracle(z2, square, max_expansions=0) == area_exact_z2(square) == 4
 
 
+# The least max_expansions at which area_oracle returns an int. Any change
+# to the oracle's successor sets or heap keys changes the order in which
+# words are popped, and with it these budgets.
+@pytest.mark.parametrize(
+    "group, codes, budget, area",
+    [
+        ("zxz2", (2, -2, 1, 1, -2, -1, 2, -2, -1, 2), 33, 2),
+        ("zxz2", (-2, -1, -1, 1, 1, 1, 1, -2, -1, -1), 235, 3),
+        ("zxz2", (-2, 1, 1, -2, -2, -2, -1, 1, -1, -1), 1154, 4),
+        ("z3", (-2, -2, -1, 1, 2, 3, -1, 2, 1, -3), 13, 2),
+        ("z3", (-2, -3, 2, 2, 1, 3, 1, -2, -1, -1), 70, 5),
+        ("z3", (2, 1, 1, -3, -2, -1, 2, -1, -2, 3), 103, 4),
+    ],
+)
+def test_oracle_expansion_thresholds(group, codes, budget, area, request):
+    p = request.getfixturevalue(group)
+    assert area_oracle(p, Word(codes), max_expansions=budget) == area
+    assert isinstance(area_oracle(p, Word(codes), max_expansions=budget - 1), AreaResult)
+
+
 @pytest.mark.parametrize(
     "core",
     [

@@ -188,6 +188,16 @@ def test_osmean_off_z2_matches_brute_force(z10):
     assert osmean_exact(z10, bfs, 8).value == Fraction(9, 128)
 
 
+def test_osmean_zxz2_matches_brute_force(zxz2):
+    # open words on a torsion group with a commutator: the oracle fills the closures
+    from dehnlab import area_open, enumerate_words
+
+    bfs = make_combing(zxz2, "bfs-lex")
+    for n in range(4):
+        brute = sum(area_open(zxz2, bfs, w).upper for w in enumerate_words(2, n))
+        assert osmean_exact(zxz2, bfs, n).value == Fraction(brute, 4**n)
+
+
 def test_osmean_by_endpoint_decomposition(z2, st2):
     for n in range(0, 11):
         table = osmean_by_endpoint(z2, st2, n)

@@ -1,11 +1,12 @@
 """Property tests: the winding DP against enumeration, area on Z^2 (symmetries,
-winding field, the batched kernel), the projected-winding bound on Z^3, and the
-oracle's symmetries on zxz2 and Z^3."""
+winding field, the batched kernel), the projected-winding bound on Z^3, the
+oracle's symmetries on zxz2 and Z^3 and its move generator, and the Smith
+normal form."""
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dehnlab import (
@@ -21,8 +22,10 @@ from dehnlab import (
     osmean_exact,
     winding_field,
 )
-from dehnlab.area import _area_z2_rows, _relator_flips
+from dehnlab.area import _area_z2_rows, _moves, _relator_flips, _relator_rotations
 from dehnlab.dehnstats import closed_level_stats, level_sums
+from dehnlab.presentation import smith_normal_form
+from dehnlab.words import reduce_codes
 
 from conftest import WALK_PRESENTATIONS
 
@@ -152,3 +155,75 @@ def test_oracle_invariant_under_inversion_and_flips_on_zxz2(codes):
 @given(closed_words(3, max_size=4))
 def test_oracle_invariant_under_inversion_and_flips_on_z3(codes):
     assert _oracle_images(Z3, codes) == {area_oracle(Z3, Word(codes))}
+
+
+MOVE_GROUPS = {
+    "zxz2": ZXZ2,
+    "z3": Z3,
+    "a1a1a2,[a1,a2]": WALK_PRESENTATIONS["a1a1a2,[a1,a2]"](),
+}
+
+
+@st.composite
+def reduced_words_and_caps(draw):
+    """(group name, a random freely reduced word, a length cap at least its length)."""
+    name = draw(st.sampled_from(sorted(MOVE_GROUPS)))
+    r = MOVE_GROUPS[name].r
+    letters = [c for i in range(1, r + 1) for c in (i, -i)]
+    codes: list[int] = []
+    for _ in range(draw(st.integers(0, 10))):
+        codes.append(draw(st.sampled_from([c for c in letters if not codes or c != -codes[-1]])))
+    maxrel = max(len(rel) for rel in _relator_rotations(MOVE_GROUPS[name]))
+    return name, tuple(codes), len(codes) + draw(st.integers(0, 2 * maxrel))
+
+
+# x rel x^-1 with rel = a2 a2: the rotation is used up and the two sides cancel too
+@example(("zxz2", (1, -2, -2, -1), 4))
+@given(reduced_words_and_caps())
+def test_oracle_moves_are_the_capped_free_reductions(case):
+    name, codes, cap = case
+    rots = _relator_rotations(MOVE_GROUPS[name])
+    got = {}
+    for i, t, word in _moves(codes, rots, cap):
+        assert (i, t) not in got
+        got[(i, t)] = word
+    every = {}
+    for i in range(len(codes) + 1):
+        for t, rel in enumerate(rots):
+            word = reduce_codes(codes[:i] + rel + codes[i:])
+            if len(word) <= cap:
+                every[(i, t)] = word
+    # each move is the capped free reduction of its splice ...
+    assert all(every.get(key) == word for key, word in got.items())
+    # ... it is left out only when the rotation ends in the letter before the split ...
+    assert {key for key in every if key not in got} == {
+        (i, t) for i, t in every if i and rots[t][-1] == codes[i - 1]
+    }
+    # ... and leaving those out loses no successor
+    assert set(got.values()) == set(every.values())
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(0, 4))
+    return [draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@given(integer_matrices())
+def test_smith_normal_form_is_a_unimodular_diagonalization(M):
+    import sympy
+
+    rows, cols = len(M), len(M[0])
+    snf = smith_normal_form(M)
+    d = snf.diagonal
+    assert len(d) == min(rows, cols) and all(x >= 0 for x in d)
+    # a divisibility chain; zeros only at the end
+    assert all((b % a == 0) if a else b == 0 for a, b in zip(d, d[1:]))
+    U = sympy.Matrix(rows, rows, [x for row in snf.U for x in row])
+    V = sympy.Matrix(cols, cols, [x for row in snf.V for x in row])
+    D = sympy.zeros(rows, cols)
+    for i, x in enumerate(d):
+        D[i, i] = x
+    assert U * sympy.Matrix(rows, cols, [x for row in M for x in row]) * V == D
+    assert abs(U.det()) == 1 and abs(V.det()) == 1
