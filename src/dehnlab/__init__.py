@@ -33,9 +33,7 @@ from .cogrowth import (
     sharp_sigma_forms,
 )
 from .combing import (
-    BfsLexCombing,
     GeodesicCombing,
-    StaircaseCombing,
     close_path,
     comb_between,
     make_combing,

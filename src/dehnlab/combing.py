@@ -2,6 +2,16 @@
 
 Open paths are closed up by returning to their start through the combing;
 all mean values of open areas are relative to the chosen combing.
+
+Two kinds are named. "bfs-lex" is the path to v in the presentation's BFS
+tree of the Cayley graph: the BFS takes its frontier in discovery order and
+the codes in generator_codes order (a1 < A1 < a2 < A2 ...), so by induction
+on the level each tree path is the lexicographically least geodesic word.
+"staircase" takes all +-a_1 steps first, then +-a_2, and so on, and needs a
+standard free-abelian presentation. There the Cayley graph is the Z^r
+lattice, and the least geodesic to v is |v_i| letters a_i^sign(v_i) in
+increasing generator order: the staircase word. So both kinds build that word
+directly on Z^r, and the BFS tree serves bfs-lex only off it.
 """
 
 from __future__ import annotations
@@ -15,53 +25,26 @@ COMBING_KINDS = ("staircase", "bfs-lex")
 class GeodesicCombing:
     """Deterministic rule assigning a geodesic word T[v] to every vertex v."""
 
-    kind: str
-
-    def __init__(self, p: AbelianPresentation):
+    def __init__(self, p: AbelianPresentation, kind: str):
+        if kind not in COMBING_KINDS:
+            raise ValueError(f"unknown combing kind {kind!r}; expected one of {COMBING_KINDS}")
+        if kind == "staircase" and not p.is_standard_free:
+            raise ValueError("staircase combing needs a standard free-abelian presentation")
         self.p = p
+        self.kind = kind
 
     def comb_to(self, v: CanonicalForm) -> Word:
         """The geodesic word T[e, v]."""
-        raise NotImplementedError
-
-
-class StaircaseCombing(GeodesicCombing):
-    """Axis staircase on Z^r: all +-a_1 steps first, then +-a_2, and so on."""
-
-    kind = "staircase"
-
-    def __init__(self, p: AbelianPresentation):
-        if not p.is_standard_free:
-            raise ValueError("staircase combing needs a standard free-abelian presentation")
-        super().__init__(p)
-
-    def comb_to(self, v: CanonicalForm) -> Word:
+        if not self.p.is_standard_free:
+            return Word(self.p._tree_codes(v))
         codes: list[int] = []
         for i, x in enumerate(v.free_part, start=1):
             codes += [i if x > 0 else -i] * abs(x)
         return Word(tuple(codes))
 
 
-class BfsLexCombing(GeodesicCombing):
-    """The path to v in the presentation's BFS tree of the Cayley graph.
-
-    The BFS takes its frontier in discovery order and the codes in
-    generator_codes order (a1 < A1 < a2 < A2 ...), so by induction on the
-    level each tree path is the lexicographically least geodesic word.
-    """
-
-    kind = "bfs-lex"
-
-    def comb_to(self, v: CanonicalForm) -> Word:
-        return Word(self.p._tree_codes(v))
-
-
 def make_combing(p: AbelianPresentation, kind: str = "staircase") -> GeodesicCombing:
-    if kind == "staircase":
-        return StaircaseCombing(p)
-    if kind == "bfs-lex":
-        return BfsLexCombing(p)
-    raise ValueError(f"unknown combing kind {kind!r}; expected one of {COMBING_KINDS}")
+    return GeodesicCombing(p, kind)
 
 
 def comb_between(c: GeodesicCombing, u: CanonicalForm, v: CanonicalForm) -> Word:

@@ -1,13 +1,13 @@
 """Dehn function statistics: maxima and means of filling areas, exact and sampled.
 
 Exact means on standard Z^2 come from a per-cell winding-number DP that totals
-the area of every word of a length without listing the words. D(n), whose
-maximum does not split per cell, other presentations and other combings walk
-the Cayley graph: one DFS over the ball as integer ids lists the closed words
-(pruned by group length) or every word with its endpoint, and is also the
-DP's test oracle. Sampled values come from seeded Monte Carlo with
-normal-approximation confidence intervals. All report values are exact
-rationals or float estimates, normalized by n (ln n)^2 from n = 2 on.
+the area of every word of a length without listing the words; on Z^2 both
+combings are the staircase. D(n), whose maximum does not split per cell, and
+other presentations walk the Cayley graph: one DFS over the ball as integer
+ids lists the closed words (pruned by group length) or every word with its
+endpoint, and is also the DP's test oracle. Sampled values come from seeded
+Monte Carlo with normal-approximation confidence intervals. All report values
+are exact rationals or float estimates, normalized by n (ln n)^2 from n = 2 on.
 """
 
 from __future__ import annotations
@@ -442,11 +442,12 @@ def osmean_by_endpoint(
 ) -> dict:
     """Per-endpoint [walk count, open-area sum] over all length-n words.
 
-    The winding DP on standard Z^2 with the staircase combing (budget counts
-    cells x steps x states); enumeration of every word otherwise (budget
-    counts words), each closed by its endpoint's reversed combing word.
+    The winding DP on standard Z^2, where every combing is the staircase
+    (budget counts cells x steps x states); enumeration of every word
+    otherwise (budget counts words), each closed by its endpoint's reversed
+    combing word.
     """
-    if p.is_standard_z2 and c.kind == "staircase":
+    if p.is_standard_z2:
         counts, sums, r = _z2_staircase_table(n, budget)
         return {
             p.canonical_form((int(x) - r, int(y) - r)): [int(counts[x, y]), int(sums[x, y])]
@@ -511,29 +512,25 @@ def osmean_sampled(
 ) -> DehnReport:
     """Unbiased Monte Carlo estimate of the open spherical mean.
 
-    Each sampled word is closed by the cached combing word back from its
-    endpoint, and `_area_z2_rows` scores the closed words in blocks of about
+    Each sampled word, ending at (dx, dy), is closed by the staircase word
+    a1^dx a2^dy, which every combing of Z^2 is, read backwards with every
+    letter inverted: |dy| letters -sign(dy) a2, then |dx| letters -sign(dx) a1.
+    `_area_z2_rows` scores the closed words in blocks of about
     SAMPLE_BLOCK_LETTERS letters, each row zero-padded to its block's
     longest closing word.
     """
     _require_sampling_support(p, samples)
     codes = slots_to_codes(sample_letter_matrix(2, n, samples, make_rng(seed)))
-    dx = ((codes == 1).sum(axis=1) - (codes == -1).sum(axis=1)).tolist()
-    dy = ((codes == 2).sum(axis=1) - (codes == -2).sum(axis=1)).tolist()
-    ends = list(zip(dx, dy))
-    # the closing word is the combing word read backwards with every letter inverted
-    close_of = {
-        end: -np.array(c.comb_to(p.canonical_form(end)).codes[::-1], dtype=np.int8)
-        for end in set(ends)
-    }
     rows = _block_rows(n)
     areas = np.empty(samples, dtype=np.float64)
     for start in range(0, samples, rows):
-        part = [close_of[end] for end in ends[start : start + rows]]
-        block = np.zeros((len(part), n + max(map(len, part))), dtype=np.int8)
-        block[:, :n] = codes[start : start + rows]
-        for row, close in zip(block, part):
-            row[n : n + len(close)] = close
+        part = codes[start : start + rows]
+        dx = ((part == 1).sum(axis=1) - (part == -1).sum(axis=1))[:, None]
+        dy = ((part == 2).sum(axis=1) - (part == -2).sum(axis=1))[:, None]
+        ax, ay = np.abs(dx), np.abs(dy)
+        j = np.arange((ax + ay).max())
+        close = np.where(j < ay, -2 * np.sign(dy), np.where(j < ax + ay, -np.sign(dx), 0))
+        block = np.concatenate([part, close.astype(part.dtype)], axis=1)
         areas[start : start + len(part)] = _area_z2_rows(block)
     return _mean_report(KIND_OSMEAN, n, areas, seed, c.kind)
 
@@ -650,8 +647,8 @@ class BoundFit:
 
 def bound_fit(reports: list[DehnReport]) -> BoundFit:
     pts = [(r.n, r.normalized) for r in reports if r.n >= 2]
-    if len(pts) < 2:
-        raise ValueError("need at least two reports at n >= 2")
+    if len({n for n, _ in pts}) < 2:
+        raise ValueError("need reports at two or more distinct n >= 2")
     ns = np.array([p[0] for p in pts], dtype=np.float64)
     ys = np.array([p[1] for p in pts], dtype=np.float64)
     xs = np.log(ns)

@@ -5,11 +5,14 @@ import pytest
 from dehnlab import (
     Word,
     area_exact_z2,
+    area_open,
     close_path,
     comb_between,
+    enumerate_words,
     length_A,
     make_combing,
 )
+from dehnlab.combing import COMBING_KINDS
 from dehnlab.words import enumerate_code_tuples
 
 from conftest import WALK_PRESENTATIONS, W
@@ -19,6 +22,20 @@ def test_staircase_examples(z2, st2):
     assert st2.comb_to(z2.canonical_form((2, 1))).tokens() == "a1 a1 a2"
     assert st2.comb_to(z2.canonical_form((0, 0))).codes == ()
     assert st2.comb_to(z2.canonical_form((-1, 2))).tokens() == "A1 a2 a2"
+    # the four words stepping in the b direction first enclose one cell each
+    ones = [w.codes for w in enumerate_words(2, 2) if area_open(z2, st2, w).upper == 1]
+    assert sorted(ones) == [(-2, -1), (-2, 1), (2, -1), (2, 1)]
+
+
+@pytest.mark.parametrize("name, radius", [("z2", 12), ("z3", 6), ("[a1,a2]^2", 6)])
+def test_comb_to_is_the_tree_path_on_zr(name, radius):
+    # on standard free presentations both kinds build the staircase word
+    # directly; the BFS parent tree, the least geodesic, stays the reference
+    p = WALK_PRESENTATIONS[name]()
+    for kind in COMBING_KINDS:
+        comb = make_combing(p, kind)
+        for v in p.length_table(radius):
+            assert comb.comb_to(v).codes == p._tree_codes(v), (kind, v)
 
 
 def test_staircase_needs_standard_free(z10):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dehnlab import (
+    GeodesicCombing,
     bound_fit,
     builtin_presentation,
     dehn_exact,
@@ -25,6 +26,7 @@ from dehnlab import (
     smean_sampled,
     walk_counts,
 )
+from dehnlab import dehnstats
 from dehnlab.area import _area_z2_codes, area_oracle
 from dehnlab.counting import make_rng, sample_letter_matrix, slots_to_codes
 from dehnlab.dehnstats import (
@@ -166,14 +168,6 @@ def test_osmean_fast_path_matches_generic(z2, st2):
         assert osmean_exact(z2, st2, n).value == Fraction(brute, sphere_size(2, n))
 
 
-def test_osmean_combing_comparison(z2, st2):
-    # staircase and the BFS tree combing coincide on the lattice: the reported
-    # difference is zero at every computed length
-    bfs = make_combing(z2, "bfs-lex")
-    for n in (2, 4, 5):
-        assert osmean_exact(z2, st2, n).value == osmean_exact(z2, bfs, n).value
-
-
 def test_osmean_off_z2_matches_brute_force(z10):
     # the enumeration route on a torsion group, against area_open word by word
     from dehnlab import area_open, enumerate_words
@@ -207,9 +201,6 @@ def test_osmean_by_endpoint_decomposition(z2, st2):
         wt = walk_counts(z2, n)
         for v, (cnt, _) in table.items():
             assert wt.get(v) == cnt
-    # the fast path agrees with the generic enumeration
-    bfs = make_combing(z2, "bfs-lex")
-    assert osmean_by_endpoint(z2, st2, 5) == osmean_by_endpoint(z2, bfs, 5)
 
 
 def test_winding_dp_matches_enumeration(z2, st2):
@@ -233,6 +224,17 @@ def test_pins_beyond_enumeration(z2, st2):
     assert smean_exact(z2, 16).value == SMEAN_Z2_N16
     assert smean_exact(z2, 20).value == SMEAN_Z2_N20
     assert osmean_exact(z2, st2, 16).value == OSMEAN_Z2_N16
+
+
+def test_bfs_lex_osmean_on_z2_takes_the_dp_route(z2, monkeypatch):
+    # bfs-lex is the staircase on Z^2, so it shares the winding DP
+    def no_walks(*args):
+        raise AssertionError("the Z^2 osmean enumerated words")
+
+    monkeypatch.setattr(dehnstats, "_walks", no_walks)
+    rep = osmean_exact(z2, make_combing(z2, "bfs-lex"), 16)
+    assert rep.value == OSMEAN_Z2_N16
+    assert rep.combing == "bfs-lex"
 
 
 def test_dp_budget(z2, st2):
@@ -331,11 +333,11 @@ def test_smean_sampled_odd_is_exact_zero(z2, st2):
     assert rep.value == 0
 
 
-def _osmean_rows(z2, st2, n, samples, seed):
+def _osmean_rows(z2, comb, n, samples, seed):
     codes = slots_to_codes(sample_letter_matrix(2, n, samples, make_rng(seed)))
     for row in codes.tolist():
         end = z2.canonical_form((row.count(1) - row.count(-1), row.count(2) - row.count(-2)))
-        yield row + list(st2.comb_to(end).inverse().codes)
+        yield row + list(comb.comb_to(end).inverse().codes)
 
 
 def _smean_rows(n, samples, seed):
@@ -349,14 +351,36 @@ def _smean_rows(n, samples, seed):
 
 @pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK_LETTERS // 1024 + 1])
 def test_block_scoring_matches_the_per_word_kernel(z2, st2, samples):
-    # one row and one row past a full block: the blocks score every row once
-    for sampler, rows in [
-        (osmean_sampled, _osmean_rows(z2, st2, 1024, samples, 20061)),
-        (smean_sampled, _smean_rows(1024, samples, 20061)),
+    # one row and one row past a full block: the blocks score every row once;
+    # the open rows are closed by each combing's own comb_to
+    bfs = make_combing(z2, "bfs-lex")
+    for sampler, comb, rows in [
+        (osmean_sampled, st2, _osmean_rows(z2, st2, 1024, samples, 20061)),
+        (osmean_sampled, bfs, _osmean_rows(z2, bfs, 1024, samples, 20061)),
+        (smean_sampled, st2, _smean_rows(1024, samples, 20061)),
     ]:
         areas = np.array([_area_z2_codes(row) for row in rows], dtype=np.float64)
         assert len(areas) == samples
-        assert sampler(z2, st2, 1024, samples, seed=20061).estimate == float(np.mean(areas))
+        assert sampler(z2, comb, 1024, samples, seed=20061).estimate == float(np.mean(areas))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1024])
+def test_sampled_osmean_is_the_same_for_both_combings(z2, st2, n):
+    bfs = make_combing(z2, "bfs-lex")
+    a = osmean_sampled(z2, st2, n, 300, seed=1307)
+    b = osmean_sampled(z2, bfs, n, 300, seed=1307)
+    assert (a.estimate, a.ci_low, a.ci_high) == (b.estimate, b.ci_low, b.ci_high)
+    assert (a.combing, b.combing) == ("staircase", "bfs-lex")
+
+
+def test_sampled_osmean_builds_its_closing_rows(z2, monkeypatch):
+    # the closing rows come from the endpoints (dx, dy), not from comb_to
+    def no_comb_to(self, v):
+        raise AssertionError("osmean_sampled called comb_to")
+
+    monkeypatch.setattr(GeodesicCombing, "comb_to", no_comb_to)
+    for kind in ("staircase", "bfs-lex"):
+        osmean_sampled(z2, make_combing(z2, kind), 64, 50, seed=3)
 
 
 def test_sampled_reports_are_deterministic(z2, st2):
@@ -421,6 +445,17 @@ def test_bound_fit():
     assert gfit.slope > 0 and not gfit.no_growth
     with pytest.raises(ValueError):
         bound_fit([reports[0]])
+
+
+def test_bound_fit_needs_two_distinct_lengths():
+    # one length leaves no spread in ln n to fit a slope over
+    same = [DehnReport(n=8, kind="osmean", estimate=e) for e in (1.0, 2.0)]
+    with pytest.raises(ValueError):
+        bound_fit(same)
+    with pytest.raises(ValueError):
+        bound_fit(same + [DehnReport(n=1, kind="osmean", estimate=0.0)])
+    fit = bound_fit(same + [DehnReport(n=16, kind="osmean", estimate=3.0)])
+    assert fit.ns == (8, 8, 16) and math.isfinite(fit.slope)
 
 
 def test_nv_asymptotics_report():
