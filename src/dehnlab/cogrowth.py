@@ -5,6 +5,12 @@ appears only in limit-ratio reports. The generating-function transform
 converting closed-walk counts into non-backtracking ones is implemented by
 composing with t / (1 + (2r-1) t^2) and multiplying by the rational
 prefactor, so each intermediate object can be compared term by term.
+
+a_coefficients does not use that generic route. It sums A(u) = sum_k g_k x^k
+by Horner, S <- g_k + x S for k = N..0, keeping S to degree N - k: times x is
+a shift by one place and two in-place divisions by 1 + 3u (b_m <- a_m -
+3 b_{m-1}), and g_k = g_{k-1} (2(2k-1))^2 // k^2. That is about N^2 bigint
+additions with small multipliers, and no binomial or bigint product.
 """
 
 from __future__ import annotations
@@ -74,18 +80,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.coeffs[: order + 1])
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         out = [0] * (n + 1)
@@ -97,9 +91,6 @@ class TruncatedSeries:
                 if b:
                     out[i + j] += a * b
         return TruncatedSeries(tuple(out))
-
-    def scale(self, k) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(k * a for a in self.coeffs))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), requiring inner to have zero constant term."""
@@ -161,18 +152,24 @@ def bartholdi_transform(g_series: TruncatedSeries, r: int, order: int) -> Trunca
 
 
 def a_coefficients(n_max: int) -> list[int]:
-    """A_{2n} = sum_k C(2k,k)^2 C(n+k-1, 2k-1) (-3)^(n-k), for n = 0..n_max."""
-    out = [1]
-    for n in range(1, n_max + 1):
-        total = 0
-        for k in range(1, n + 1):
-            total += (
-                math.comb(2 * k, k) ** 2
-                * math.comb(n + k - 1, 2 * k - 1)
-                * (-3) ** (n - k)
-            )
-        out.append(total)
-    return out
+    """A_{2n} = sum_k C(2k,k)^2 C(n+k-1, 2k-1) (-3)^(n-k), for n = 0..n_max.
+
+    That is A(u) = sum_k g_k x^k with u = t^2, g_k = C(2k,k)^2 and
+    x = u / (1 + 3u)^2, summed by Horner as in the module notes.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    g = [1]
+    for k in range(1, n_max + 1):
+        g.append(g[-1] * (2 * (2 * k - 1)) ** 2 // (k * k))
+    s = [g[n_max]]
+    for k in range(n_max - 1, -1, -1):
+        s.insert(0, 0)
+        for _ in range(2):
+            for m in range(1, len(s)):
+                s[m] -= 3 * s[m - 1]
+        s[0] = g[k]
+    return s
 
 
 def f_recurrence(n_max: int) -> list[int]:
@@ -229,7 +226,7 @@ def f_ratio_z2(two_n: int, f_value: int | None = None) -> float:
         raise ValueError("even positive length required")
     if f_value is None:
         f_value = f_recurrence(two_n // 2)[two_n // 2]
-    return float(Fraction(f_value * two_n, 3**two_n))
+    return f_value * two_n / 3**two_n
 
 
 def sharp_ratio_report(n_max: int) -> list[tuple[int, float]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -47,6 +48,17 @@ def test_cogrowth_table(capsys):
     assert lines[2] == "n,g_n,f_n,ratio"
     f4 = [l for l in lines if l.startswith("4,")]
     assert f4 and f4[0].startswith("4,36,8,")
+
+
+def test_cogrowth_table_640_digest(capsys):
+    # The counting benchmark pins the same SHA-256 of the header and data rows.
+    code, out, _ = run_cli(capsys, "cogrowth", "--n-max", "640")
+    assert code == 0
+    data = "".join(l + "\n" for l in out.splitlines() if l and not l.startswith("#"))
+    assert data.count("\n") == 322
+    assert hashlib.sha256(data.encode()).hexdigest() == (
+        "9a4fc365896bb72fb2c2dd232644393df0e325c1521c79fc025d45d63d9cbe88"
+    )
 
 
 def test_dehn_exact_smean(capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dehnlab import (
     PRINTED_F_LIMIT_Z2,
@@ -82,6 +84,36 @@ def test_a_coefficients():
     assert a[4] == 508
 
 
+def _a_double_sum(n_max):
+    """The defining double sum for A_{2n}, term by term with binomials."""
+    return [1] + [
+        sum(
+            math.comb(2 * k, k) ** 2 * math.comb(n + k - 1, 2 * k - 1) * (-3) ** (n - k)
+            for k in range(1, n + 1)
+        )
+        for n in range(1, n_max + 1)
+    ]
+
+
+def test_a_coefficients_equal_the_double_sum():
+    ref = _a_double_sum(120)
+    for n in range(121):
+        assert a_coefficients(n) == ref[: n + 1]
+
+
+@given(st.integers(0, 80), st.integers(0, 80))
+def test_a_coefficients_are_prefix_stable(m, n):
+    m, n = min(m, n), max(m, n)
+    assert a_coefficients(m) == a_coefficients(n)[: m + 1]
+
+
+@pytest.mark.parametrize("fn", [a_coefficients, f_recurrence, sharp_ratio_report])
+@pytest.mark.parametrize("n_max", [-1, -2])
+def test_negative_sizes_raise(fn, n_max):
+    with pytest.raises(ValueError):
+        fn(n_max)
+
+
 def test_f_recurrence_values(z2):
     f = f_recurrence(3)
     assert f == [1, 0, 8, 40]
@@ -159,3 +191,9 @@ def test_sharp_ratio_report():
 def test_f_ratio_z2_guard():
     with pytest.raises(ValueError):
         f_ratio_z2(7)
+
+
+def test_f_ratio_z2_is_the_correctly_rounded_fraction():
+    fs = f_recurrence(320)
+    for n in range(1, 321):
+        assert f_ratio_z2(2 * n, fs[n]) == float(Fraction(fs[n] * 2 * n, 3 ** (2 * n)))
