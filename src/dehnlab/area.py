@@ -18,13 +18,15 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .combing import GeodesicCombing, close_path, comb_between
 from .errors import BudgetError
 from .presentation import AbelianPresentation, CanonicalForm, abelianize
 from .words import Word, reduce_codes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ORACLE_EXPANSIONS = 200_000
 # closed_area_result searches words up to this reduced length when the bounds differ
@@ -117,6 +119,7 @@ def _area_z2_rows(codes) -> np.ndarray:
     segments, where the key gaps it multiplies mean nothing. Raises unless
     every row is closed and uses only the two generators.
     """
+    import numpy as np
     codes = np.asarray(codes)
     s, length = codes.shape
     if codes.size and (codes.min() < -2 or codes.max() > 2):

@@ -20,6 +20,7 @@ from .cogrowth import f_recurrence, f_ratio_z2, g_even_z2
 from .combing import COMBING_KINDS, make_combing
 from .counting import RNG_ALGORITHM, TAIL_K_1D, TAIL_K_ZR, nonbacktracking_counts, walk_counts
 from .dehnstats import (
+    _require_sampling_support,
     dehn_exact,
     lazy_mean,
     mean_exact,
@@ -137,8 +138,9 @@ def cmd_dehn(args) -> int:
         raise ValueError("--samples must be positive")
     if sampled and args.seed is None:
         raise ValueError("--seed is required whenever sampling is requested")
-    needs_combing = args.kind in ("osmean",) or sampled
-    comb = make_combing(p, args.combing) if needs_combing else None
+    if sampled:
+        _require_sampling_support(p, args.samples)  # before a combing can refuse p
+    comb = make_combing(p, args.combing) if args.kind == "osmean" or sampled else None
 
     if args.kind == "D":
         if sampled:

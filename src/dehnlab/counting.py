@@ -18,13 +18,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import BudgetError
 from .presentation import AbelianPresentation, CanonicalForm
 from .words import Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "numpy PCG64 via SeedSequence(seed)"
 
@@ -36,6 +37,7 @@ DEFAULT_STATE_BUDGET = 5_000_000
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -57,6 +59,7 @@ class CountTable:
 def _dense_counts(
     p: AbelianPresentation, n: int, max_states: int, backtracking_allowed: bool
 ) -> CountTable:
+    import numpy as np
     images = [p.generator_image(c) for c in p.generator_codes]
     reach = [n * max(abs(g.free_part[i]) for g in images) for i in range(p.free_rank)]
     # a trivial group gets one axis of one cell
@@ -235,6 +238,7 @@ def endpoint_samples_zr(
     r: int, n: int, samples: int, rng: np.random.Generator, chunk: int = 1 << 20
 ) -> np.ndarray:
     """L1 group lengths of uniform word endpoints in Z^r, via multinomial counts."""
+    import numpy as np
     out = np.empty(samples, dtype=np.int64)
     probs = [1.0 / (2 * r)] * (2 * r)
     for done in range(0, samples, chunk):
@@ -250,7 +254,7 @@ def tail_report_sampled_zr(
     rng = make_rng(seed)
     threshold = r * c * math.sqrt(n * math.log(n))
     lengths = endpoint_samples_zr(r, n, samples, rng)
-    exceed = int(np.count_nonzero(lengths > threshold))
+    exceed = int((lengths > threshold).sum())
     frac = exceed / samples
     half = 1.96 * math.sqrt(max(frac * (1 - frac), 1e-300) / samples)
     return TailReport(
@@ -273,11 +277,13 @@ def sample_letter_matrix(
     r: int, n: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform letter slots in 0..2r-1 (slot 2k is a_{k+1}, slot 2k+1 its inverse)."""
+    import numpy as np
     return rng.integers(0, 2 * r, size=(count, n), dtype=np.int16)
 
 
 def slots_to_codes(slots: np.ndarray) -> np.ndarray:
     """Letter codes of a slot array, elementwise: slot 2k -> k+1, slot 2k+1 -> -(k+1)."""
+    import numpy as np
     table = np.arange(1, int(slots.max(initial=0)) // 2 + 2, dtype=slots.dtype).repeat(2)
     table[1::2] *= -1
     return table[slots]

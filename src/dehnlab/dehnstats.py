@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .area import (
     DEFAULT_ORACLE_EXPANSIONS,
@@ -31,6 +30,9 @@ from .counting import make_rng, sample_letter_matrix, slots_to_codes
 from .errors import BudgetError
 from .presentation import AbelianPresentation
 from .words import Word, check_enumeration_budget, reduce_codes, sphere_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KIND_D = "D"
 KIND_MEAN = "mean"
@@ -259,6 +261,7 @@ def _dp_dtype(n: int):
     +-1 walks); a read-out weighs it by at most _winding_bound(n) + 1. The
     sums over cell heights and columns are taken in Python ints.
     """
+    import numpy as np
     if (_winding_bound(n) + 1) * math.comb(n, n // 2) ** 2 < 2**63:
         return np.int64
     return object
@@ -271,6 +274,7 @@ def _winding_dp(u0: int, radius: int, n: int, dtype):
     k by _winding_bound(n). Walks that leave the box |x|, |y| <= radius are
     dropped, so the box must hold every walk of interest.
     """
+    import numpy as np
     side = 2 * radius + 1
     kb = _winding_bound(n)
     ix0 = u0 + radius
@@ -297,6 +301,7 @@ def _winding_dp(u0: int, radius: int, n: int, dtype):
 
 def _z2_level_sums(n_max: int, budget: int | None = None, dtype=None) -> list[tuple[int, int]]:
     """(count, area sum) of the closed Z^2 words of each length t <= n_max."""
+    import numpy as np
     radius = max(n_max // 2, 1)  # a walk farther out cannot close by n_max
     _check_dp_budget(radius, n_max, budget)
     if dtype is None:
@@ -323,6 +328,7 @@ def _z2_staircase_table(n: int, budget: int | None = None, dtype=None):
     down (or up) to height 0 and then along it to the origin, so it shifts the
     winding of a cell with y0 >= 0 by -1 when 0 <= u0 < x_end.
     """
+    import numpy as np
     radius = max(n, 1)
     _check_dp_budget(radius, n, budget)
     if dtype is None:
@@ -451,7 +457,7 @@ def osmean_by_endpoint(
         counts, sums, r = _z2_staircase_table(n, budget)
         return {
             p.canonical_form((int(x) - r, int(y) - r)): [int(counts[x, y]), int(sums[x, y])]
-            for x, y in zip(*np.nonzero(counts))
+            for x, y in zip(*counts.nonzero())
         }
     check_enumeration_budget(p.r, n, budget)
     area = _exact_area(p, max_expansions)
@@ -486,11 +492,8 @@ def _require_sampling_support(p: AbelianPresentation, samples: int) -> None:
 
 
 def _mean_report(kind, n, areas, seed, combing) -> DehnReport:
-    est = float(np.mean(areas))
-    if len(areas) > 1:
-        stderr = float(np.std(areas, ddof=1)) / math.sqrt(len(areas))
-    else:
-        stderr = float("nan")
+    est = float(areas.mean())
+    stderr = float(areas.std(ddof=1)) / math.sqrt(len(areas)) if len(areas) > 1 else math.nan
     return DehnReport(
         n=n,
         kind=kind,
@@ -519,6 +522,7 @@ def osmean_sampled(
     SAMPLE_BLOCK_LETTERS letters, each row zero-padded to its block's
     longest closing word.
     """
+    import numpy as np
     _require_sampling_support(p, samples)
     codes = slots_to_codes(sample_letter_matrix(2, n, samples, make_rng(seed)))
     rows = _block_rows(n)
@@ -550,6 +554,7 @@ def smean_sampled(
     Words are drawn one at a time into a block of about SAMPLE_BLOCK_LETTERS
     letters, which `_area_z2_rows` scores at once.
     """
+    import numpy as np
     _require_sampling_support(p, samples)
     if n % 2:
         return DehnReport(n=n, kind=KIND_SMEAN, value=Fraction(0), combing=c.kind)
@@ -616,6 +621,7 @@ def h_split_holds_ceil(n: int) -> bool:
 
 def h_split_range(n_lo: int, n_hi: int, *, ceil_variant: bool = False) -> np.ndarray:
     """Vectorized truth values of the splitting inequality on [n_lo, n_hi]."""
+    import numpy as np
     n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     if ceil_variant:
         m = np.ceil(n / 2.0)
@@ -646,6 +652,7 @@ class BoundFit:
 
 
 def bound_fit(reports: list[DehnReport]) -> BoundFit:
+    import numpy as np
     pts = [(r.n, r.normalized) for r in reports if r.n >= 2]
     if len({n for n, _ in pts}) < 2:
         raise ValueError("need reports at two or more distinct n >= 2")

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import shutil
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dehnlab import cli
 from dehnlab.cli import main
 
 
@@ -154,6 +157,17 @@ def test_nonsense_sizes_are_config_errors(capsys, argv):
     assert "--n" in err or "--samples" in err
 
 
+@pytest.mark.parametrize("kind", ["smean", "osmean"])
+def test_sampled_dehn_off_z2_names_the_samplers(capsys, kind):
+    # the samplers' own check comes before the default combing can refuse zxz2
+    code, out, err = run_cli(
+        capsys, "dehn", "--group", "zxz2", "--kind", kind, "--n", "4", "--samples", "10", "--seed", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "samplers are implemented for the standard Z^2 presentation" in err
+
+
 def test_dehn_single_sample(capsys):
     code, out, _ = run_cli(
         capsys, "dehn", "--group", "z2", "--kind", "osmean", "--n", "4", "--samples", "1", "--seed", "1"
@@ -242,3 +256,86 @@ def test_threads_flag_rejected(capsys):
         main(["count", "--group", "z2", "--n", "2", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+# Runs each command in one fresh interpreter (pytest itself holds numpy) and
+# prints, after `import dehnlab` and after each command, whether numpy is loaded.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import dehnlab
+from dehnlab.cli import main
+seen = [["import dehnlab", None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_free_commands_do_not_import_numpy(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("a1 a2 A1 A2\n")
+    numpy_free = [
+        ["--version"],
+        ["cogrowth", "--n-max", "20"],
+        ["area", "--group", "z3", "--words-file", str(words)],
+        ["area", "--group", "zxz2", "--words-file", str(words)],
+        ["dehn", "--group", "zxz2", "--kind", "smean", "--n", "4"],
+        ["dehn", "--group", "z2", "--kind", "D", "--n", "6"],
+    ]
+    control = ["count", "--group", "z2", "--n", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(numpy_free + [control])],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [["import dehnlab", None, False]]
+    expected += [[" ".join(argv), 0, False] for argv in numpy_free]
+    expected += [[" ".join(control), 0, True]]  # the dense walk counts do load it
+    assert json.loads(proc.stdout) == expected
+
+
+TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+
+
+def _traced_entry_points() -> dict:
+    """`CLI_ENTRY_POINTS` of the traced benchmark, read without importing it."""
+    for node in ast.parse(TRACED.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "CLI_ENTRY_POINTS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("CLI_ENTRY_POINTS not found")
+
+
+def test_traced_entry_points_are_cli_module_attributes():
+    names = _traced_entry_points()
+    assert names
+    for name, layer in names.items():
+        module = importlib.import_module(f"dehnlab.{layer}")
+        assert getattr(cli, name) is getattr(module, name), name
+
+
+def test_cli_calls_layers_through_its_module_names(capsys, monkeypatch, tmp_path):
+    # a traced run replaces these names on dehnlab.cli and must see every call
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, **kw):
+            calls.append(fn.__name__)
+            return fn(*args, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "f_recurrence", recording(cli.f_recurrence))
+    monkeypatch.setattr(cli, "closed_area_result", recording(cli.closed_area_result))
+    words = tmp_path / "words.txt"
+    words.write_text("a1 a2 A1 A2\na1 A1\n")
+    assert run_cli(capsys, "cogrowth", "--n-max", "8")[0] == 0
+    assert run_cli(capsys, "area", "--group", "zxz2", "--words-file", str(words))[0] == 0
+    assert calls == ["f_recurrence", "closed_area_result", "closed_area_result"]
