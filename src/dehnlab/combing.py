@@ -29,7 +29,7 @@ class GeodesicCombing:
         if kind not in COMBING_KINDS:
             raise ValueError(f"unknown combing kind {kind!r}; expected one of {COMBING_KINDS}")
         if kind == "staircase" and not p.is_standard_free:
-            raise ValueError("staircase combing needs a standard free-abelian presentation")
+            raise ValueError("staircase needs a standard free-abelian presentation; use bfs-lex")
         self.p = p
         self.kind = kind
 

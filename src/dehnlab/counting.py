@@ -7,14 +7,15 @@ Walk counts live on a dense frame: an axis per free coordinate, spanning
 +-n * max_c |free part of generator c|, then an axis per torsion modulus.
 A step sums the frame rolled by each generator image; the rolls wrap the
 torsion axes, and no walk reaches the edge of a free axis. Cells are int64
-while (2r)^n < 2^63 and Python ints (dtype object) past that. `max_states`
-bounds the frame's cells, times 2r for non-backtracking counts, and is
-checked before anything is allocated.
+residues mod enough moduli to hold every count (`_moduli`), rebuilt by CRT.
+`max_states` bounds the frame's cells, times 2r for non-backtracking counts,
+and is checked before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -35,10 +36,54 @@ TAIL_K_ZR = 2.7
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
+_CELL_LIMIT = 1 << 63  # every DP cell is an int64 below this
+
 
 def make_rng(seed: int) -> np.random.Generator:
     import numpy as np
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def _moduli(bound: int, growth: int = 16) -> tuple[int, ...]:
+    """The fewest pairwise-coprime moduli whose product exceeds bound.
+
+    The numpy DPs here and in dehnstats count in int64 residues mod these,
+    rebuilt by `_crt` at read-out. They are the descending odd numbers below
+    _CELL_LIMIT // max(growth, 16) coprime to all kept before, so a frame
+    reduced below them takes a step that multiplies it by growth (or 16). A
+    bound below _CELL_LIMIT // 16 gets one modulus of that size whatever the
+    growth: its cells are the exact values and are never reduced.
+    """
+    chosen: list[int] = []
+    product = 1
+    m = (_CELL_LIMIT // 16 - 2) | 1
+    if bound >= m:
+        m = (_CELL_LIMIT // max(growth, 16) - 2) | 1
+    while product <= bound:
+        if all(math.gcd(m, c) == 1 for c in chosen):
+            chosen.append(m)
+            product *= m
+        m -= 2
+    return tuple(chosen)
+
+
+def _crt(residues: np.ndarray, moduli: tuple[int, ...]) -> list[int]:
+    """The ints in [0, prod(moduli)) whose residues mod moduli[i] are row i, in C order."""
+    big = math.prod(moduli)
+    units = [big // m * pow(big // m, -1, m) for m in moduli]  # 1 mod m, 0 mod the others
+    rows = residues.reshape(len(moduli), -1).tolist()
+    return [sum(map(operator.mul, units, col)) % big for col in zip(*rows)]
+
+
+def _reduce_first(top: int, growth: int, bound: int, moduli: tuple[int, ...]) -> tuple[bool, int]:
+    """Whether to reduce a frame before a step, and its cell bound after the step.
+
+    Cells are >= 0 and at most the values they stand for, so a step leaves them
+    at most min(growth * top, bound). Only if that could reach _CELL_LIMIT is
+    the frame first reduced to cells below moduli[0]; one modulus never is.
+    """
+    wide = min(growth * top, bound) >= _CELL_LIMIT
+    return wide, min(growth * (moduli[0] - 1 if wide else top), bound)
 
 
 @dataclass(frozen=True)
@@ -68,25 +113,34 @@ def _dense_counts(
     cells = math.prod(shape) * (1 if backtracking_allowed else len(shifts))
     if cells > max_states:
         raise BudgetError(f"walk frame of {cells} cells exceeds {max_states} states")
-    axes = tuple(range(len(shape)))
-    total = np.zeros(shape, dtype=np.int64 if (2 * p.r) ** n < 2**63 else object)
-    total[tuple(reach) + (0,) * (len(shape) - len(reach))] = 1
+    growth = len(shifts)  # a step sums 2r frames or 2r differences
+    bound = growth**n if backtracking_allowed else growth * (growth - 1) ** max(n - 1, 0)
+    moduli = _moduli(bound, growth)
+    m = np.array(moduli).reshape((-1,) + (1,) * len(shape))
+    axes = tuple(range(1, len(shape) + 1))
+    total = np.zeros((len(moduli),) + shape, dtype=np.int64)
+    total[(slice(None),) + tuple(reach) + (0,) * (len(shape) - len(reach))] = 1
+    top = 1
     last = None
     for _ in range(n):
-        # S'[c] = roll(sum(S) - S[-c], shift_c); codes come in (c, -c) pairs
-        moved = (
-            np.roll(total if last is None else total - last[i ^ 1], s, axis=axes)
-            for i, s in enumerate(shifts)
-        )
+        # S'[c] = roll(sum(S) - S[-c], shift_c); codes come in (c, -c) pairs. A
+        # reduction acts on what the step sums: S, or each difference.
+        wide, top = _reduce_first(top, growth, bound, moduli)
+        if last is None:
+            terms = [total % m if wide else total] * growth
+        else:
+            terms = (total - last[i ^ 1] for i in range(growth))
+            if wide:
+                terms = (t % m for t in terms)
+        moved = (np.roll(t, s, axis=axes) for t, s in zip(terms, shifts))
         if not backtracking_allowed:
             moved = last = list(moved)
         total = reduce(np.add, moved)
     k, t = p.free_rank, len(p.torsion_moduli)
-    idx = np.nonzero(total)
-    counts = {
-        CanonicalForm(tuple(x - h for x, h in zip(cell, reach)), cell[k : k + t]): v
-        for cell, v in zip(zip(*(i.tolist() for i in idx)), total[idx].tolist())
-    }
+    idx = np.nonzero(total.any(axis=0))
+    values = _crt(total[(slice(None),) + idx], moduli)
+    points = zip(*((i - h).tolist() for i, h in zip(idx, reach + [0] * len(shape))))
+    counts = {CanonicalForm(c[:k], c[k : k + t]): v for c, v in zip(points, values)}
     return CountTable(n, counts, backtracking_allowed)
 
 
@@ -95,8 +149,8 @@ def walk_counts(
 ) -> CountTable:
     """Exact N_v(n) per endpoint v, by rolling one dense frame per generator.
 
-    Cells are int64 while (2r)^n < 2^63, else Python ints; max_states bounds
-    the frame's cells.
+    Cells are int64 residues modulo enough moduli to hold (2r)^n, rebuilt by
+    CRT; max_states bounds the frame's cells.
     """
     return _dense_counts(p, n, max_states, True)
 
@@ -106,8 +160,8 @@ def nonbacktracking_counts(
 ) -> CountTable:
     """Exact N'_v(n): walks never followed by the inverse of the last step.
 
-    One dense frame per last letter, dtype as in walk_counts; max_states
-    bounds the frame's cells times 2r.
+    One dense frame per last letter, residues as in walk_counts but for the
+    2r (2r - 1)^(n - 1) walks; max_states bounds the frame's cells times 2r.
     """
     return _dense_counts(p, n, max_states, False)
 

@@ -13,6 +13,7 @@ are exact rationals or float estimates, normalized by n (ln n)^2 from n = 2 on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -26,7 +27,7 @@ from .area import (
     area_oracle,
 )
 from .combing import GeodesicCombing
-from .counting import make_rng, sample_letter_matrix, slots_to_codes
+from .counting import _crt, _moduli, _reduce_first, make_rng, sample_letter_matrix, slots_to_codes
 from .errors import BudgetError
 from .presentation import AbelianPresentation
 from .words import Word, check_enumeration_budget, reduce_codes, sphere_size
@@ -253,37 +254,35 @@ def _check_dp_budget(radius: int, n: int, budget: int | None) -> None:
         raise BudgetError(f"winding DP of {work} cell-step-states exceeds budget {budget}")
 
 
-def _dp_dtype(n: int):
-    """int64 while every DP entry and per-state read-out provably fits, else Python ints.
+def _winding_dp(u0: int, radius: int, n: int, moduli: tuple[int, ...]):
+    """Yield N[i * radius + y0, x, y, k] for cell column u0 after each of 0..n steps.
+
+    The cells are (u0, y0) for 0 <= y0 < radius; x, y are offset by radius and
+    k by _winding_bound(n). Row i * radius + y0 holds the counts mod moduli[i].
+    Walks that leave the box |x|, |y| <= radius are dropped, so the box must
+    hold every walk of interest.
 
     An entry counts walks of at most n steps to one point, at most
     C(n, n // 2)^2 of them (the coordinates x + y and x - y are independent
-    +-1 walks); a read-out weighs it by at most _winding_bound(n) + 1. The
-    sums over cell heights and columns are taken in Python ints.
-    """
-    import numpy as np
-    if (_winding_bound(n) + 1) * math.comb(n, n // 2) ** 2 < 2**63:
-        return np.int64
-    return object
-
-
-def _winding_dp(u0: int, radius: int, n: int, dtype):
-    """Yield N[y0, x, y, k] for cell column u0 after each of 0..n steps.
-
-    The cells are (u0, y0) for 0 <= y0 < radius; x, y are offset by radius and
-    k by _winding_bound(n). Walks that leave the box |x|, |y| <= radius are
-    dropped, so the box must hold every walk of interest.
+    +-1 walks). A step sums four neighbours, and the crossing moves only shift
+    a count in k, so the frame is reduced only as _reduce_first says.
     """
     import numpy as np
     side = 2 * radius + 1
     kb = _winding_bound(n)
+    bound = math.comb(n, n // 2) ** 2
+    m = np.repeat(moduli, radius).reshape(-1, 1, 1, 1)
     ix0 = u0 + radius
     ys = np.arange(-radius, radius + 1)
-    below = (ys[None, :] <= np.arange(radius)[:, None]).astype(dtype)[..., None]
-    N = np.zeros((radius, side, side, 2 * kb + 1), dtype=dtype)
+    below = np.tile(ys[None, :] <= np.arange(radius)[:, None], (len(moduli), 1))[..., None]
+    N = np.zeros((len(moduli) * radius, side, side, 2 * kb + 1), dtype=np.int64)
     N[:, radius, radius, kb] = 1
+    top = 1
     yield N
     for _ in range(n):
+        wide, top = _reduce_first(top, 4, bound, moduli)
+        if wide:
+            N = N % m
         new = np.zeros_like(N)
         new[:, 1:] = N[:, :-1]
         new[:, :-1] += N[:, 1:]
@@ -299,54 +298,60 @@ def _winding_dp(u0: int, radius: int, n: int, dtype):
         yield N
 
 
-def _z2_level_sums(n_max: int, budget: int | None = None, dtype=None) -> list[tuple[int, int]]:
+def _z2_level_sums(n_max: int, budget: int | None = None) -> list[tuple[int, int]]:
     """(count, area sum) of the closed Z^2 words of each length t <= n_max."""
-    import numpy as np
     radius = max(n_max // 2, 1)  # a walk farther out cannot close by n_max
     _check_dp_budget(radius, n_max, budget)
-    if dtype is None:
-        dtype = _dp_dtype(n_max)
+    moduli = _moduli(math.comb(n_max, n_max // 2) ** 2)
     kb = _winding_bound(n_max)
-    kabs = np.abs(np.arange(-kb, kb + 1)).astype(dtype)
+    kabs = [abs(k) for k in range(-kb, kb + 1)] * radius
     counts = [0] * (n_max + 1)
     sums = [0] * (n_max + 1)
     for u0 in range(radius):
-        for t, N in enumerate(_winding_dp(u0, radius, n_max, dtype)):
+        for t, N in enumerate(_winding_dp(u0, radius, n_max, moduli)):
             if t % 2:
                 continue
-            closed = N[:, radius, radius]
-            sums[t] += sum(int(v) for v in closed @ kabs)
+            closed = _crt(N[:, radius, radius], moduli)  # [y0, k] in C order
+            sums[t] += sum(map(operator.mul, closed, kabs))
             if u0 == 0:
-                counts[t] = int(closed[0].sum())
+                counts[t] = sum(closed[: 2 * kb + 1])
     return [(c, 4 * s) for c, s in zip(counts, sums)]
 
 
-def _z2_staircase_table(n: int, budget: int | None = None, dtype=None):
-    """(counts, open-area sums) of all 4^n words by endpoint, staircase return.
+def _z2_staircase_table(n: int, budget: int | None = None) -> dict:
+    """{(x, y): [count, open-area sum]} of all 4^n words by endpoint, staircase return.
 
-    Both arrays are indexed [x + r, y + r] with r = max(n, 1). The return runs
-    down (or up) to height 0 and then along it to the origin, so it shifts the
-    winding of a cell with y0 >= 0 by -1 when 0 <= u0 < x_end.
+    The return runs down (or up) to height 0 and then along it to the origin,
+    so it shifts the winding of a cell with y0 >= 0 by -1 when 0 <= u0 < x_end.
+    An endpoint has at most C(n, n // 2)^2 words, each of area at most kb + 1
+    on each of 4 radius^2 cells. A column's read-out weighs radius (2 kb + 1)
+    entries by at most kb + 1; with several moduli it reads reduced entries
+    and reduces its share before adding it.
     """
     import numpy as np
     radius = max(n, 1)
     _check_dp_budget(radius, n, budget)
-    if dtype is None:
-        dtype = _dp_dtype(n)
     kb = _winding_bound(n)
+    readout = radius * (2 * kb + 1) * (kb + 1)
+    moduli = _moduli(math.comb(n, n // 2) ** 2 * 4 * radius**2 * (kb + 1), readout)
+    m = np.array(moduli).reshape(-1, 1, 1)
     ks = np.arange(-kb, kb + 1)
     xs = np.arange(-radius, radius + 1)
-    sums = np.zeros((2 * radius + 1, 2 * radius + 1), dtype=object)
-    counts = None
+    sums = 0
     for u0 in range(radius):
-        for N in _winding_dp(u0, radius, n, dtype):
+        for N in _winding_dp(u0, radius, n, moduli):
             pass  # only the states after the last step are read
-        weight = np.abs(ks[None, :] - (xs > u0)[:, None]).astype(dtype)
-        sums += (N * weight[:, None, :]).sum(axis=3).astype(object).sum(axis=0)
-        if counts is None:
-            counts = N[0].sum(axis=-1)
-    sums = sums + sums[::-1] + sums[:, ::-1] + sums[::-1, ::-1]
-    return counts, sums, radius
+        N = N.reshape(len(moduli), radius, *N.shape[1:])
+        if len(moduli) > 1:
+            N = N % m[..., None, None]
+        weight = np.abs(ks[None, :] - (xs > u0)[:, None])
+        share = (N * weight[:, None, :]).sum(axis=(1, 4))
+        sums = sums + (share % m if len(moduli) > 1 else share)
+    sums = sums + sums[:, ::-1] + sums[:, :, ::-1] + sums[:, ::-1, ::-1]
+    counts = N[:, 0].sum(axis=-1)
+    x, y = np.nonzero(counts.any(axis=0))
+    pairs = zip(_crt(counts[:, x, y], moduli), _crt(sums[:, x, y], moduli))
+    return {(i - radius, j - radius): list(e) for i, j, e in zip(x.tolist(), y.tolist(), pairs)}
 
 
 def level_sums(
@@ -454,11 +459,7 @@ def osmean_by_endpoint(
     combing word.
     """
     if p.is_standard_z2:
-        counts, sums, r = _z2_staircase_table(n, budget)
-        return {
-            p.canonical_form((int(x) - r, int(y) - r)): [int(counts[x, y]), int(sums[x, y])]
-            for x, y in zip(*counts.nonzero())
-        }
+        return {p.canonical_form(v): e for v, e in _z2_staircase_table(n, budget).items()}
     check_enumeration_budget(p.r, n, budget)
     area = _exact_area(p, max_expansions)
     ball = _ball(p, n)

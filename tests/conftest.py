@@ -49,6 +49,30 @@ def z5():
     return cyclic(5)
 
 
+@pytest.fixture
+def tiny_moduli(monkeypatch):
+    """Cells below 2^14: every DP runs on moduli near 2^10 and reduces often.
+
+    Every residue a DP hands to the CRT read-out must respect that limit too.
+    Yields the number of moduli of each read-out.
+    """
+    from dehnlab import counting, dehnstats
+
+    limit = 1 << 14
+    crt = counting._crt
+    seen = []
+
+    def checked_crt(residues, moduli):
+        assert residues.max(initial=0) < limit
+        seen.append(len(moduli))
+        return crt(residues, moduli)
+
+    monkeypatch.setattr(counting, "_CELL_LIMIT", limit)
+    monkeypatch.setattr(counting, "_crt", checked_crt)
+    monkeypatch.setattr(dehnstats, "_crt", checked_crt)
+    yield seen
+
+
 @pytest.fixture(scope="session")
 def st2(z2):
     return make_combing(z2, "staircase")

@@ -168,6 +168,17 @@ def test_sampled_dehn_off_z2_names_the_samplers(capsys, kind):
     assert "samplers are implemented for the standard Z^2 presentation" in err
 
 
+def test_exact_osmean_off_z2_names_the_combing_that_works(capsys):
+    code, out, err = run_cli(capsys, "dehn", "--group", "zxz2", "--kind", "osmean", "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert "staircase needs a standard free-abelian presentation; use bfs-lex" in err
+    argv = ("dehn", "--group", "zxz2", "--kind", "osmean", "--n", "4", "--combing", "bfs-lex")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "35/32" in out
+
+
 def test_dehn_single_sample(capsys):
     code, out, _ = run_cli(
         capsys, "dehn", "--group", "z2", "--kind", "osmean", "--n", "4", "--samples", "1", "--seed", "1"

@@ -1,9 +1,12 @@
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dehnlab import (
     AbelianPresentation,
@@ -25,7 +28,14 @@ from dehnlab import (
     tail_report_sampled_zr,
     walk_counts,
 )
-from dehnlab.counting import endpoint_samples_zr, tail_fraction_exact_1d_holds
+from dehnlab.counting import (
+    _CELL_LIMIT,
+    _crt,
+    _moduli,
+    endpoint_samples_zr,
+    tail_fraction_exact_1d_holds,
+)
+from dehnlab.presentation import load_presentation_text
 
 
 def test_walk_counts_examples(z2):
@@ -67,15 +77,132 @@ def test_dense_counts_match_enumeration(name):
         assert nonbacktracking_counts(p, n).counts == nonbacktracking, n
 
 
-@pytest.mark.parametrize("n", [31, 32, 40])
-def test_dense_counts_across_the_int64_limit(z2, n):
-    # 4^31 < 2^63 <= 4^32: n = 31 runs on int64 cells, n = 32 on Python ints;
-    # at n = 40 the origin cell alone, C(40, 20)^2, would overflow int64
+# (n, moduli) where the moduli count steps 1 -> 2 and 2 -> 3: walks hold 4^n,
+# non-backtracking walks 4 * 3^(n - 1)
+WALK_STEPS = [(29, 1), (30, 2), (58, 2), (59, 3)]
+NONBACKTRACKING_STEPS = [(36, 1), (37, 2), (74, 2), (75, 3)]
+
+
+@pytest.mark.parametrize("n, moduli", WALK_STEPS)
+def test_walk_counts_where_the_moduli_count_steps(z2, n, moduli):
+    assert len(_moduli(4**n, 4)) == moduli
     t = walk_counts(z2, n)
     assert t.total() == 4**n
     assert t.get(z2.identity()) == (math.comb(n, n // 2) ** 2 if n % 2 == 0 else 0)
     assert all(type(c) is int for c in t.counts.values())
     assert nonbacktracking_counts(z2, n).total() == 4 * 3 ** (n - 1)
+
+
+@pytest.mark.parametrize("n, moduli", NONBACKTRACKING_STEPS)
+def test_nonbacktracking_counts_where_the_moduli_count_steps(z2, n, moduli):
+    assert len(_moduli(4 * 3 ** (n - 1), 4)) == moduli
+    t = nonbacktracking_counts(z2, n)
+    assert t.total() == 4 * 3 ** (n - 1)
+    assert all(type(c) is int for c in t.counts.values())
+    assert walk_counts(z2, n).total() == 4**n
+
+
+# rank 5: a non-backtracking step sums 10 differences, so a reduced frame
+# grows 10x in one step
+RANK5 = """
+generators 5
+relator a1 a1 a1
+relator a2 a2
+relator a3 a3
+relator a4 a4 a4 a4
+relator a5 a5
+"""
+
+
+def _nonbacktracking_reference(p, n):
+    """N'_v(n) by a dict over (endpoint, last code) in Python ints."""
+    step = functools.cache(lambda v, c: p.compose(v, p.generator_image(c)))
+    states = {(p.identity(), 0): 1}
+    for _ in range(n):
+        nxt = Counter()
+        for (v, last), count in states.items():
+            for c in p.generator_codes:
+                if c != -last:
+                    nxt[step(v, c), c] += count
+        states = nxt
+    out = Counter()
+    for (v, _), count in states.items():
+        out[v] += count
+    return out
+
+
+def test_rank5_nonbacktracking_counts_on_four_moduli():
+    p = load_presentation_text(RANK5)
+    n = 60
+    assert len(_moduli(10 * 9 ** (n - 1), 10)) == 4
+    t = nonbacktracking_counts(p, n)
+    assert t.counts == _nonbacktracking_reference(p, n)
+    assert t.total() == 10 * 9 ** (n - 1)
+    for m in range(5):
+        assert nonbacktracking_counts(p, m).counts == _nonbacktracking_reference(p, m)
+
+
+@pytest.mark.parametrize("bound", [1, 2**59, 4**100, 2**5000])
+@pytest.mark.parametrize("growth", [2, 16, 18, 100])
+def test_moduli_are_pairwise_coprime_below_their_size(bound, growth):
+    moduli = _moduli(bound, growth)
+    # one modulus holds exact cells, which never reduce, so only several
+    # moduli need room for a step of the given growth
+    size = _CELL_LIMIT // (16 if len(moduli) == 1 else max(growth, 16))
+    assert all(1 < m < size for m in moduli)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[:i])
+    assert math.prod(moduli) > bound >= math.prod(moduli[:-1])
+    assert _moduli(bound, growth) == moduli
+
+
+@given(st.data())
+def test_crt_round_trip(data):
+    moduli = _moduli(data.draw(st.sampled_from([1, 2**59, 2**200, 2**1000])))
+    big = math.prod(moduli)
+    xs = data.draw(st.lists(st.integers(0, big - 1), min_size=1, max_size=8))
+    # residues may sit anywhere in int64: add a multiple of each modulus
+    lift = data.draw(st.integers(0, 15))
+    residues = np.array([[x % m + lift * m for x in xs] for m in moduli], dtype=np.int64)
+    assert _crt(residues, moduli) == xs
+    assert _crt(residues.reshape(len(moduli), len(xs), 1), moduli) == xs
+
+
+def _enumerated_counts(p, n):
+    """(walks, non-backtracking walks) per endpoint, over all (2r)^n words.
+
+    The words are listed level by level as exponent vectors, with a flag for
+    a backtrack anywhere in the word.
+    """
+    r = p.r
+    letters = np.vstack([np.eye(r, dtype=np.int8), -np.eye(r, dtype=np.int8)])
+    ends = np.zeros((1, r), dtype=np.int8)
+    last = np.array([-1])
+    clean = np.array([True])
+    for _ in range(n):
+        ends = (ends[:, None, :] + letters[None]).reshape(-1, r)
+        code = np.tile(np.arange(2 * r), len(last))
+        clean = np.repeat(clean, 2 * r) & (np.repeat(last, 2 * r) != (code + r) % (2 * r))
+        last = code
+    box = (2 * n + 1,) * r
+    tables = []
+    for rows in (ends, ends[clean]):
+        table = Counter()
+        per_vector = np.bincount(np.ravel_multi_index(tuple(rows.T + n), box), minlength=math.prod(box))
+        for key in np.flatnonzero(per_vector).tolist():
+            v = tuple(int(x) - n for x in np.unravel_index(key, box))
+            table[p.canonical_form(v)] += int(per_vector[key])
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("name", ["z2", "zxz2", "z3"])
+def test_dense_counts_on_tiny_moduli_match_enumeration(name, tiny_moduli):
+    p = builtin_presentation(name)
+    for n in range(9):
+        walks, nonbacktracking = _enumerated_counts(p, n)
+        assert walk_counts(p, n).counts == walks, n
+        assert nonbacktracking_counts(p, n).counts == nonbacktracking, n
+    assert max(tiny_moduli) > 1
 
 
 def test_walk_budget_checked_before_allocation(monkeypatch):

@@ -28,15 +28,19 @@ from dehnlab import (
 )
 from dehnlab import dehnstats
 from dehnlab.area import _area_z2_codes, area_oracle
-from dehnlab.counting import make_rng, sample_letter_matrix, slots_to_codes
+from dehnlab.counting import (
+    _moduli,
+    closed_walk_closed_form_z2,
+    make_rng,
+    sample_letter_matrix,
+    slots_to_codes,
+)
 from dehnlab.dehnstats import (
     DEFAULT_DP_BUDGET,
     SAMPLE_BLOCK_LETTERS,
     DehnReport,
-    _dp_dtype,
     _dp_work,
     _z2_level_sums,
-    _z2_staircase_table,
     closed_level_stats,
     iter_closed_codes,
     level_sums,
@@ -250,13 +254,30 @@ def test_dp_budget(z2, st2):
         level_sums(z2, 10, budget=1000)
 
 
-def test_dp_python_int_path_matches_int64():
-    # past n = 32 the DP counts in exact Python ints; both agree where both fit
-    assert _dp_dtype(32) is np.int64 and _dp_dtype(34) is object
-    assert _z2_level_sums(12, dtype=object) == _z2_level_sums(12, dtype=np.int64)
-    c64, s64, _ = _z2_staircase_table(8, dtype=np.int64)
-    cob, sob, _ = _z2_staircase_table(8, dtype=object)
-    assert c64.tolist() == cob.tolist() and s64.tolist() == sob.tolist()
+# the n = 34 area sum, from the Python-int DP that the residue DP replaced
+LEVEL_AREA_SUM_Z2_N34 = 28470335613898535424
+
+
+def test_level_sums_on_two_moduli():
+    # C(32, 16)^2 fits one modulus and C(34, 17)^2 does not
+    assert len(_moduli(math.comb(32, 16) ** 2)) == 1
+    assert len(_moduli(math.comb(34, 17) ** 2)) == 2
+    levels = _z2_level_sums(34)
+    assert [c for c, _ in levels] == [closed_walk_closed_form_z2(t) for t in range(35)]
+    assert levels[34][1] == LEVEL_AREA_SUM_Z2_N34
+    assert all(type(c) is int and type(s) is int for c, s in levels)
+
+
+def test_level_sums_on_tiny_moduli_match_enumeration(z2, tiny_moduli):
+    assert level_sums(z2, 10) == [closed_level_stats(z2, t)[:2] for t in range(11)]
+    assert max(tiny_moduli) > 1
+
+
+def test_staircase_table_on_tiny_moduli_matches_enumeration(z2, st2, tiny_moduli):
+    for n in range(8):
+        table = _enumerated_staircase_table(n)
+        assert osmean_by_endpoint(z2, st2, n) == {z2.canonical_form(v): e for v, e in table.items()}
+    assert max(tiny_moduli) > 1
 
 
 def test_level_stats_keyed_on_every_oracle_argument():
