@@ -4,8 +4,12 @@ The classical function takes the worst filling area in a ball; the mean
 variants average over closed words (ball or sphere), over all words with
 combing closure, or over lazy words with pause symbols. D(n) is found by
 enumerating closed words; the means come from a per-cell winding DP that
-needs no enumeration, so they reach lengths no word list could.
+needs no enumeration, so they reach lengths no word list could. The exact
+osmean runs to n = 64 here, and a fit of a + b ln n to osmean(n)/n tests the
+shape n (a + b ln n) that Brownian winding-area densities predict.
 """
+
+import numpy as np
 
 from dehnlab import (
     builtin_presentation,
@@ -53,3 +57,16 @@ for n in (12, 16, 20):
     os_ = osmean_exact(z2, st, n)
     print(f"  n={n:>2}: smean {float(sm.value):.4f} ({sm.normalized:.4f})  "
           f"osmean {float(os_.value):.4f} ({os_.normalized:.4f})")
+
+print()
+print("exact osmean past enumeration, by the superposed winding DP:")
+fit_ns = (16, 32, 48, 64)
+per_n = []
+for n in fit_ns:
+    r = osmean_exact(z2, st, n)
+    per_n.append(float(r.value) / n)
+    print(f"  n={n:>2}: osmean/n {per_n[-1]:.4f}  osmean/(n (ln n)^2) {r.normalized:.4f}")
+ln_n = np.log(fit_ns)
+b, a = np.polyfit(ln_n, per_n, 1)
+print(f"least squares over these n: osmean(n)/n = {a:.4f} + {b:.4f} ln n")
+print("  residuals: " + " ".join(f"{v:+.1e}" for v in per_n - (a + b * ln_n)))

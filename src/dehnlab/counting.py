@@ -37,6 +37,7 @@ TAIL_K_ZR = 2.7
 DEFAULT_STATE_BUDGET = 5_000_000
 
 _CELL_LIMIT = 1 << 63  # every DP cell is an int64 below this
+_CRT_CHUNK = 1 << 13  # _crt holds this many cells' residues as Python ints at a time
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -71,8 +72,9 @@ def _crt(residues: np.ndarray, moduli: tuple[int, ...]) -> list[int]:
     """The ints in [0, prod(moduli)) whose residues mod moduli[i] are row i, in C order."""
     big = math.prod(moduli)
     units = [big // m * pow(big // m, -1, m) for m in moduli]  # 1 mod m, 0 mod the others
-    rows = residues.reshape(len(moduli), -1).tolist()
-    return [sum(map(operator.mul, units, col)) % big for col in zip(*rows)]
+    rows = residues.reshape(len(moduli), -1)
+    chunks = (rows[:, i : i + _CRT_CHUNK].tolist() for i in range(0, rows.shape[1], _CRT_CHUNK))
+    return [sum(map(operator.mul, units, col)) % big for chunk in chunks for col in zip(*chunk)]
 
 
 def _reduce_first(top: int, growth: int, bound: int, moduli: tuple[int, ...]) -> tuple[bool, int]:

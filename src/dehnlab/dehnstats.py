@@ -1,13 +1,15 @@
 """Dehn function statistics: maxima and means of filling areas, exact and sampled.
 
 Exact means on standard Z^2 come from a per-cell winding-number DP that totals
-the area of every word of a length without listing the words; on Z^2 both
-combings are the staircase. D(n), whose maximum does not split per cell, and
-other presentations walk the Cayley graph: one DFS over the ball as integer
-ids lists the closed words (pruned by group length) or every word with its
-endpoint, and is also the DP's test oracle. Sampled values come from seeded
-Monte Carlo with normal-approximation confidence intervals. All report values
-are exact rationals or float estimates, normalized by n (ln n)^2 from n = 2 on.
+the area of every word of a length without listing the words: one DP per cell
+column for the closed levels, one DP over all cells at once for the open
+total; on Z^2 both combings are the staircase. D(n), whose maximum does not
+split per cell, and other presentations walk the Cayley graph: one DFS over
+the ball as integer ids lists the closed words (pruned by group length) or
+every word with its endpoint, and is also the DP's test oracle. Sampled values
+come from seeded Monte Carlo with normal-approximation confidence intervals.
+All report values are exact rationals or float estimates, normalized by
+n (ln n)^2 from n = 2 on.
 """
 
 from __future__ import annotations
@@ -223,12 +225,13 @@ def closed_level_stats(
 # The area of a closed Z^2 word is the sum over unit cells of |winding|. The
 # winding of cell (u0, y0) is the number of a-steps leaving x = u0 at a height
 # <= y0 minus the number of A-steps leaving x = u0 + 1 at a height <= y0, so it
-# is a counter k carried along the walk. For one cell column u0 the DP counts
-# walks from the origin in N[y0, x, y, k], with the cell height y0 vectorised;
-# summing |k| over the states a word can end in gives that column's share of the
-# total area of all those words at once. Reflecting either axis preserves areas
-# and the staircase return, so only cells with u0, y0 >= 0 are run and their
-# sums are counted four times.
+# is a counter k carried along the walk, and summing |k| over the states a
+# word can end in totals the area of all those words at once. The closed
+# levels run one DP per cell column u0 from the origin, the height y0 over the
+# rows; the open total runs one DP for all cells, since cell (u0, y0) seen from
+# the origin is cell (0, 0) seen from (-u0, -y0). Reflecting either axis
+# preserves areas and the staircase return, so only cells with u0, y0 >= 0 are
+# run and their sums are counted four times.
 
 
 def _winding_bound(n: int) -> int:
@@ -241,57 +244,40 @@ def _winding_bound(n: int) -> int:
     return (n + 3) // 4
 
 
-def _dp_work(radius: int, n: int) -> int:
-    """Up-front work count of a winding DP: cells x steps x states."""
-    return radius * radius * n * (2 * radius + 1) ** 2 * (2 * _winding_bound(n) + 1)
-
-
-def _check_dp_budget(radius: int, n: int, budget: int | None) -> None:
+def _check_dp_budget(work: int, budget: int | None) -> None:
     if budget is None:
         budget = DEFAULT_DP_BUDGET
-    work = _dp_work(radius, n)
     if work > budget:
         raise BudgetError(f"winding DP of {work} cell-step-states exceeds budget {budget}")
 
 
-def _winding_dp(u0: int, radius: int, n: int, moduli: tuple[int, ...]):
-    """Yield N[i * radius + y0, x, y, k] for cell column u0 after each of 0..n steps.
+def _winding_dp(N: np.ndarray, ix0: int, below: np.ndarray, n: int, moduli: tuple, bound: int):
+    """Yield the frame N[row, x, y, k] after each of 0..n steps, from unit masses N.
 
-    The cells are (u0, y0) for 0 <= y0 < radius; x, y are offset by radius and
-    k by _winding_bound(n). Row i * radius + y0 holds the counts mod moduli[i].
-    Walks that leave the box |x|, |y| <= radius are dropped, so the box must
-    hold every walk of interest.
-
-    An entry counts walks of at most n steps to one point, at most
-    C(n, n // 2)^2 of them (the coordinates x + y and x - y are independent
-    +-1 walks). A step sums four neighbours, and the crossing moves only shift
-    a count in k, so the frame is reduced only as _reduce_first says.
+    k, offset to the middle of its axis, counts a-steps leaving x = ix0 minus
+    A-steps leaving ix0 + 1 where below[row, y] (rows broadcast) holds. Block i
+    of len(moduli) equal row blocks counts mod moduli[i]. Walks leaving the
+    frame are dropped. No entry counts more than bound walks; a step sums four
+    neighbours and the crossings only shift counts in k, so the frame is reduced
+    only as _reduce_first says.
     """
     import numpy as np
-    side = 2 * radius + 1
-    kb = _winding_bound(n)
-    bound = math.comb(n, n // 2) ** 2
-    m = np.repeat(moduli, radius).reshape(-1, 1, 1, 1)
-    ix0 = u0 + radius
-    ys = np.arange(-radius, radius + 1)
-    below = np.tile(ys[None, :] <= np.arange(radius)[:, None], (len(moduli), 1))[..., None]
-    N = np.zeros((len(moduli) * radius, side, side, 2 * kb + 1), dtype=np.int64)
-    N[:, radius, radius, kb] = 1
+    m = np.repeat(moduli, len(N) // len(moduli)).reshape(-1, 1, 1, 1)
     top = 1
     yield N
     for _ in range(n):
         wide, top = _reduce_first(top, 4, bound, moduli)
         if wide:
             N = N % m
-        new = np.zeros_like(N)
-        new[:, 1:] = N[:, :-1]
-        new[:, :-1] += N[:, 1:]
+        new = np.empty_like(N)
+        new[:, 0], new[:, -1] = N[:, 1], N[:, -2]
+        np.add(N[:, :-2], N[:, 2:], out=new[:, 1:-1])
         new[:, :, 1:] += N[:, :, :-1]
         new[:, :, :-1] += N[:, :, 1:]
-        up = N[:, ix0] * below  # a from x = u0 under the cell: k + 1
+        up = N[:, ix0] * below  # a from x = ix0 under the cell: k + 1
         new[:, ix0 + 1] -= up
         new[:, ix0 + 1, :, 1:] += up[..., :-1]
-        down = N[:, ix0 + 1] * below  # A from x = u0 + 1 under the cell: k - 1
+        down = N[:, ix0 + 1] * below  # A from x = ix0 + 1 under the cell: k - 1
         new[:, ix0] -= down
         new[:, ix0, :, :-1] += down[..., 1:]
         N = new
@@ -300,15 +286,22 @@ def _winding_dp(u0: int, radius: int, n: int, moduli: tuple[int, ...]):
 
 def _z2_level_sums(n_max: int, budget: int | None = None) -> list[tuple[int, int]]:
     """(count, area sum) of the closed Z^2 words of each length t <= n_max."""
+    import numpy as np
     radius = max(n_max // 2, 1)  # a walk farther out cannot close by n_max
-    _check_dp_budget(radius, n_max, budget)
-    moduli = _moduli(math.comb(n_max, n_max // 2) ** 2)
+    side = 2 * radius + 1
     kb = _winding_bound(n_max)
+    _check_dp_budget(radius * radius * n_max * side * side * (2 * kb + 1), budget)
+    bound = math.comb(n_max, n_max // 2) ** 2  # walks to a point: x +- y are +-1 walks
+    moduli = _moduli(bound)
+    ys = np.arange(-radius, radius + 1)
+    below = np.tile(ys[None, :] <= np.arange(radius)[:, None], (len(moduli), 1))[..., None]
     kabs = [abs(k) for k in range(-kb, kb + 1)] * radius
     counts = [0] * (n_max + 1)
     sums = [0] * (n_max + 1)
+    start = np.zeros((len(moduli) * radius, side, side, 2 * kb + 1), dtype=np.int64)
+    start[:, radius, radius, kb] = 1
     for u0 in range(radius):
-        for t, N in enumerate(_winding_dp(u0, radius, n_max, moduli)):
+        for t, N in enumerate(_winding_dp(start, u0 + radius, below, n_max, moduli, bound)):
             if t % 2:
                 continue
             closed = _crt(N[:, radius, radius], moduli)  # [y0, k] in C order
@@ -318,40 +311,34 @@ def _z2_level_sums(n_max: int, budget: int | None = None) -> list[tuple[int, int
     return [(c, 4 * s) for c, s in zip(counts, sums)]
 
 
-def _z2_staircase_table(n: int, budget: int | None = None) -> dict:
-    """{(x, y): [count, open-area sum]} of all 4^n words by endpoint, staircase return.
+def _z2_osmean_total(n: int, budget: int | None = None) -> int:
+    """Total open area of all 4^n words, each closed by the staircase return.
 
-    The return runs down (or up) to height 0 and then along it to the origin,
-    so it shifts the winding of a cell with y0 >= 0 by -1 when 0 <= u0 < x_end.
-    An endpoint has at most C(n, n // 2)^2 words, each of area at most kb + 1
-    on each of 4 radius^2 cells. A column's read-out weighs radius (2 kb + 1)
-    entries by at most kb + 1; with several moduli it reads reduced entries
-    and reduces its share before adding it.
+    Unit mass starts at every (-u0, -y0), 0 <= u0, y0 < n; k is the winding of
+    cell (0, 0), X, Y in [1 - 2n, n]. The return runs up or down to height
+    -y0 <= 0, then along it to X = -u0 <= 0, under the cell exactly when
+    X_end > 0: the cell's area is |k - [X_end > 0]|. The read-out sums, per k
+    and side of X = 0, (3n)^2 entries counting (start, word) pairs, n^2 4^n in
+    all: a reduced frame on moduli below 2^63 / (3n)^2 sums in int64, and one
+    modulus exceeds n^2 4^n, so its entries are the exact counts.
     """
     import numpy as np
-    radius = max(n, 1)
-    _check_dp_budget(radius, n, budget)
+    r = max(n, 1)
+    side = 3 * r
     kb = _winding_bound(n)
-    readout = radius * (2 * kb + 1) * (kb + 1)
-    moduli = _moduli(math.comb(n, n // 2) ** 2 * 4 * radius**2 * (kb + 1), readout)
-    m = np.array(moduli).reshape(-1, 1, 1)
-    ks = np.arange(-kb, kb + 1)
-    xs = np.arange(-radius, radius + 1)
-    sums = 0
-    for u0 in range(radius):
-        for N in _winding_dp(u0, radius, n, moduli):
-            pass  # only the states after the last step are read
-        N = N.reshape(len(moduli), radius, *N.shape[1:])
-        if len(moduli) > 1:
-            N = N % m[..., None, None]
-        weight = np.abs(ks[None, :] - (xs > u0)[:, None])
-        share = (N * weight[:, None, :]).sum(axis=(1, 4))
-        sums = sums + (share % m if len(moduli) > 1 else share)
-    sums = sums + sums[:, ::-1] + sums[:, :, ::-1] + sums[:, ::-1, ::-1]
-    counts = N[:, 0].sum(axis=-1)
-    x, y = np.nonzero(counts.any(axis=0))
-    pairs = zip(_crt(counts[:, x, y], moduli), _crt(sums[:, x, y], moduli))
-    return {(i - radius, j - radius): list(e) for i, j, e in zip(x.tolist(), y.tolist(), pairs)}
+    _check_dp_budget(n * side * side * (2 * kb + 1), budget)
+    moduli = _moduli(r * r * 4**n, side * side)
+    o = 2 * r - 1  # the index of X = 0 and of Y = 0
+    N = np.zeros((len(moduli), side, side, 2 * kb + 1), dtype=np.int64)
+    N[:, r : o + 1, r : o + 1, kb] = 1
+    below = (np.arange(side) <= o)[None, :, None]
+    for N in _winding_dp(N, o, below, n, moduli, 4**n):
+        pass  # only the states after the last step are read
+    if len(moduli) > 1:
+        N = N % np.array(moduli).reshape(-1, 1, 1, 1)
+    sides = np.stack([N[:, : o + 1].sum(axis=(1, 2)), N[:, o + 1 :].sum(axis=(1, 2))], axis=1)
+    weights = [abs(k - east) for east in (0, 1) for k in range(-kb, kb + 1)]
+    return 4 * sum(map(operator.mul, _crt(sides, moduli), weights))
 
 
 def level_sums(
@@ -432,12 +419,25 @@ def lazy_mean(p: AbelianPresentation, n: int, **kw) -> DehnReport:
 # -- open means -------------------------------------------------------------------
 
 
-def osmean_exact(p: AbelianPresentation, c: GeodesicCombing, n: int, **kw) -> DehnReport:
+def osmean_exact(
+    p: AbelianPresentation,
+    c: GeodesicCombing,
+    n: int,
+    *,
+    budget: int | None = None,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
+) -> DehnReport:
     """Exact mean open area over all (2r)^n words of length n.
 
-    The total of osmean_by_endpoint's table over (2r)^n; keywords as there.
+    One superposed winding DP on standard Z^2, where every combing is the
+    staircase (budget counts cells x steps x states); elsewhere the total of
+    osmean_by_endpoint's table (budget counts words).
     """
-    total = sum(s for _, s in osmean_by_endpoint(p, c, n, **kw).values())
+    if p.is_standard_z2:
+        total = _z2_osmean_total(n, budget)
+    else:
+        table = osmean_by_endpoint(p, c, n, budget=budget, max_expansions=max_expansions)
+        total = sum(s for _, s in table.values())
     return DehnReport(
         n=n, kind=KIND_OSMEAN, value=Fraction(total, sphere_size(p.r, n)), combing=c.kind
     )
@@ -453,13 +453,11 @@ def osmean_by_endpoint(
 ) -> dict:
     """Per-endpoint [walk count, open-area sum] over all length-n words.
 
-    The winding DP on standard Z^2, where every combing is the staircase
-    (budget counts cells x steps x states); enumeration of every word
-    otherwise (budget counts words), each closed by its endpoint's reversed
-    combing word.
+    Enumerates every word, on every presentation, and closes it by its
+    endpoint's reversed combing word, so the cost grows with (2r)^n (4^n on
+    Z^2); budget counts words. It is the osmean route off standard Z^2 and the
+    test oracle of the Z^2 winding DP.
     """
-    if p.is_standard_z2:
-        return {p.canonical_form(v): e for v, e in _z2_staircase_table(n, budget).items()}
     check_enumeration_budget(p.r, n, budget)
     area = _exact_area(p, max_expansions)
     ball = _ball(p, n)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -39,7 +40,6 @@ from dehnlab.dehnstats import (
     DEFAULT_DP_BUDGET,
     SAMPLE_BLOCK_LETTERS,
     DehnReport,
-    _dp_work,
     _z2_level_sums,
     closed_level_stats,
     iter_closed_codes,
@@ -57,10 +57,15 @@ OSMEAN_Z2_N12 = Fraction(843903, 262144)
 SMEAN_Z2_N16 = Fraction(16711976, 8281845)
 SMEAN_Z2_N20 = Fraction(338481430, 125495513)
 OSMEAN_Z2_N16 = Fraction(2425584311, 536870912)
+# Beyond the per-column DP's default budget: the per-column table, the osmean
+# route before the superposed DP, gave these with a raised budget.
+OSMEAN_Z2_N26 = Fraction(4436307520345747, 562949953421312)
+OSMEAN_Z2_N32 = Fraction(22947445364538871905, 2305843009213693952)
 
 
+@functools.cache
 def _enumerated_staircase_table(n):
-    """Per-endpoint [count, open-area sum] by listing all 4^n words."""
+    """Per-endpoint [count, open-area sum] by listing all 4^n words (read-only)."""
     out = {}
     for codes in enumerate_code_tuples(2, n):
         x = codes.count(1) - codes.count(-1)
@@ -197,7 +202,7 @@ def test_osmean_zxz2_matches_brute_force(zxz2):
 
 
 def test_osmean_by_endpoint_decomposition(z2, st2):
-    for n in range(0, 11):
+    for n in range(0, 9):
         table = osmean_by_endpoint(z2, st2, n)
         assert sum(cnt for cnt, _ in table.values()) == 4**n
         num = sum(s for _, s in table.values())
@@ -213,9 +218,10 @@ def test_winding_dp_matches_enumeration(z2, st2):
     for n in range(11):
         assert level_sums(z2, n) == levels[: n + 1]
         table = _enumerated_staircase_table(n)
-        assert osmean_by_endpoint(z2, st2, n) == {z2.canonical_form(v): e for v, e in table.items()}
         total = sum(s for _, s in table.values())
         assert osmean_exact(z2, st2, n).value == Fraction(total, 4**n)
+        if n <= 8:  # osmean_by_endpoint enumerates too
+            assert osmean_by_endpoint(z2, st2, n) == {z2.canonical_form(v): e for v, e in table.items()}
 
 
 def test_osmean_n12_live(z2, st2):
@@ -230,6 +236,20 @@ def test_pins_beyond_enumeration(z2, st2):
     assert osmean_exact(z2, st2, 16).value == OSMEAN_Z2_N16
 
 
+def test_osmean_pins_on_several_moduli(z2, st2, monkeypatch):
+    moduli = []
+    crt = dehnstats._crt
+
+    def counted_crt(residues, mods):
+        moduli.append(len(mods))
+        return crt(residues, mods)
+
+    monkeypatch.setattr(dehnstats, "_crt", counted_crt)
+    assert osmean_exact(z2, st2, 26).value == OSMEAN_Z2_N26
+    assert osmean_exact(z2, st2, 32).value == OSMEAN_Z2_N32
+    assert moduli[-1] >= 2
+
+
 def test_bfs_lex_osmean_on_z2_takes_the_dp_route(z2, monkeypatch):
     # bfs-lex is the staircase on Z^2, so it shares the winding DP
     def no_walks(*args):
@@ -241,15 +261,28 @@ def test_bfs_lex_osmean_on_z2_takes_the_dp_route(z2, monkeypatch):
     assert rep.combing == "bfs-lex"
 
 
-def test_dp_budget(z2, st2):
-    # the default admits smean to n = 32 and osmean to n = 16 ...
-    assert all(_dp_work(max(n // 2, 1), n) <= DEFAULT_DP_BUDGET for n in range(33))
-    assert all(_dp_work(max(n, 1), n) <= DEFAULT_DP_BUDGET for n in range(17))
-    # ... and refuses smean at n = 40 and osmean at n = 30 before any work
+class _Admitted(Exception):
+    pass
+
+
+def test_dp_budget(z2, st2, monkeypatch):
+    # The DPs check DEFAULT_DP_BUDGET before they allocate their first frame:
+    # it admits smean to n = 32 and osmean to n = 87 ...
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    assert DEFAULT_DP_BUDGET == 2**28
+    monkeypatch.setattr(np, "zeros", admitted)
+    for n in range(33):
+        with pytest.raises(_Admitted):
+            smean_exact(z2, n)
+    with pytest.raises(_Admitted):
+        osmean_exact(z2, st2, 87)
+    # ... and refuses smean at n = 40 and osmean at n = 88 before any work
     with pytest.raises(BudgetError):
         smean_exact(z2, 40)
     with pytest.raises(BudgetError):
-        osmean_exact(z2, st2, 30)
+        osmean_exact(z2, st2, 88)
     with pytest.raises(BudgetError):
         level_sums(z2, 10, budget=1000)
 
@@ -273,10 +306,10 @@ def test_level_sums_on_tiny_moduli_match_enumeration(z2, tiny_moduli):
     assert max(tiny_moduli) > 1
 
 
-def test_staircase_table_on_tiny_moduli_matches_enumeration(z2, st2, tiny_moduli):
-    for n in range(8):
-        table = _enumerated_staircase_table(n)
-        assert osmean_by_endpoint(z2, st2, n) == {z2.canonical_form(v): e for v, e in table.items()}
+def test_osmean_total_on_tiny_moduli_matches_enumeration(z2, st2, tiny_moduli):
+    for n in range(9):
+        total = sum(s for _, s in _enumerated_staircase_table(n).values())
+        assert osmean_exact(z2, st2, n).value == Fraction(total, 4**n), n
     assert max(tiny_moduli) > 1
 
 
@@ -508,7 +541,10 @@ def test_closed_words_in_enumeration_order(name):
 def test_enum_budget(z2, st2):
     from dehnlab import BudgetError
 
+    # exact osmean on Z^2 is the DP, which the word budget does not bound ...
+    assert osmean_exact(z2, st2, 30).value > 0
+    # ... while its enumeration oracle and the closed-word DFS refuse 4^30 words
     with pytest.raises(BudgetError):
-        osmean_exact(z2, st2, 30)
+        osmean_by_endpoint(z2, st2, 30)
     with pytest.raises(BudgetError):
         closed_level_stats(z2, 30)
