@@ -125,19 +125,27 @@ def _dense_counts(
     top = 1
     last = None
     for _ in range(n):
+        wide, top = _reduce_first(top, growth, bound, moduli)
+        if backtracking_allowed:
+            # S' = sum_c roll(S, shift_c), added in place into the first roll:
+            # at most three frames are alive
+            if wide:
+                total %= m
+            frame = total
+            total = np.roll(frame, shifts[0], axis=axes)
+            for s in shifts[1:]:
+                total += np.roll(frame, s, axis=axes)
+            continue
         # S'[c] = roll(sum(S) - S[-c], shift_c); codes come in (c, -c) pairs. A
         # reduction acts on what the step sums: S, or each difference.
-        wide, top = _reduce_first(top, growth, bound, moduli)
         if last is None:
             terms = [total % m if wide else total] * growth
         else:
             terms = (total - last[i ^ 1] for i in range(growth))
             if wide:
                 terms = (t % m for t in terms)
-        moved = (np.roll(t, s, axis=axes) for t, s in zip(terms, shifts))
-        if not backtracking_allowed:
-            moved = last = list(moved)
-        total = reduce(np.add, moved)
+        last = [np.roll(t, s, axis=axes) for t, s in zip(terms, shifts)]
+        total = reduce(np.add, last)
     k, t = p.free_rank, len(p.torsion_moduli)
     idx = np.nonzero(total.any(axis=0))
     values = _crt(total[(slice(None),) + idx], moduli)

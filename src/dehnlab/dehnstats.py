@@ -3,17 +3,19 @@
 Exact means on standard Z^2 come from a per-cell winding-number DP that totals
 the area of every word of a length without listing the words: one DP per cell
 column for the closed levels, one DP over all cells at once for the open
-total; on Z^2 both combings are the staircase. D(n), whose maximum does not
-split per cell, and other presentations walk the Cayley graph: one DFS over
-the ball as integer ids lists the closed words (pruned by group length) or
-every word with its endpoint, and is also the DP's test oracle. Sampled values
-come from seeded Monte Carlo with normal-approximation confidence intervals.
-All report values are exact rationals or float estimates, normalized by
-n (ln n)^2 from n = 2 on.
+total; on Z^2 both combings are the staircase. D(n) on standard Z^2 is the
+closed form floor(m^2 / 16), m the largest even number <= n, proven in
+`dehn_exact`. Other presentations walk the Cayley graph: one DFS over the ball
+as integer ids lists the closed words (pruned by group length) or every word
+with its endpoint, and is also the test oracle of the DP and of the closed
+form. Sampled values come from seeded Monte Carlo with normal-approximation
+confidence intervals. All report values are exact rationals or float
+estimates, normalized by n (ln n)^2 from n = 2 on.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -195,10 +197,10 @@ def closed_level_stats(
 ) -> tuple[int, int, int]:
     """(count, area sum, area max) over the closed words of length exactly n.
 
-    Pruned enumeration: the route for D(n), whose maximum does not split per
-    cell, for presentations other than standard Z^2, and the test oracle for
-    the winding DP. The budget counts words (see check_enumeration_budget);
-    max_expansions caps each oracle search.
+    Pruned enumeration: the route for every closed-word statistic on
+    presentations other than standard Z^2; on Z^2 the test oracle of the
+    winding DP and of D(n)'s closed form. The budget counts words (see
+    check_enumeration_budget); max_expansions caps each oracle search.
 
     Off standard Z^2 the oracle fills one word per class of equal free
     reduction up to inversion and the relator-preserving generator flips,
@@ -362,15 +364,46 @@ def level_sums(
     ]
 
 
-def dehn_exact(p: AbelianPresentation, n_max: int, **kw) -> list[DehnReport]:
-    """Exact classical D(n) for n <= n_max, as the running max over levels."""
-    reports = []
-    running = 0
-    for n in range(n_max + 1):
-        _, _, amax = closed_level_stats(p, n, **kw)
-        running = max(running, amax)
-        reports.append(DehnReport(n=n, kind=KIND_D, value=Fraction(running)))
-    return reports
+def dehn_exact(
+    p: AbelianPresentation,
+    n_max: int,
+    *,
+    budget: int | None = None,
+    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
+) -> list[DehnReport]:
+    """Exact classical D(n) for n <= n_max.
+
+    On standard Z^2, D(n) = floor(m^2 / 16) with m the largest even number
+    <= n, in O(1) per n; neither budget nor max_expansions applies. Proof:
+    - A closed word's area is the sum over unit cells of |winding| (the
+      identity `_area_z2_codes` computes), so by the layer cake it is the sum
+      over t >= 1 of |{w >= t}| + |{w <= -t}|.
+    - Across a unit edge the winding jumps by the net number of traversals of
+      that edge. If its sides have windings a < b, the edge bounds {w >= t}
+      for t in (a, b] and {w <= -t} for -t in [a, b), t >= 1: at most b - a
+      level sets. So the level sets' perimeters sum to at most n. Each is even
+      (a line along a row or column crosses a finite set of cells in and out
+      alike), so they sum to at most m.
+    - A union of unit cells meeting W columns and H rows has perimeter
+      P >= 2 (W + H) and area <= W H <= floor(P^2 / 16). The floors
+      floor((2s)^2 / 16) = floor(s^2 / 4) are nondecreasing and
+      superadditive, so the area is at most floor(m^2 / 16).
+    - The floor(m/4) x (m/2 - floor(m/4)) rectangle, a closed word of length
+      m, attains it.
+    Enumeration (`closed_level_stats`) is the formula's test oracle.
+
+    Elsewhere, the running max of `closed_level_stats` over the levels: budget
+    counts the words of a level, max_expansions caps each oracle search.
+    """
+    if p.is_standard_z2:
+        values = [(t - t % 2) ** 2 // 16 for t in range(n_max + 1)]
+    else:
+        levels = (
+            closed_level_stats(p, t, budget=budget, max_expansions=max_expansions)[2]
+            for t in range(n_max + 1)
+        )
+        values = itertools.accumulate(levels, max)
+    return [DehnReport(n=t, kind=KIND_D, value=Fraction(v)) for t, v in enumerate(values)]
 
 
 def _smean(count: int, asum: int) -> Fraction:

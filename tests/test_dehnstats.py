@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import time
@@ -84,6 +85,33 @@ def test_dehn_exact_values(z2):
     assert vals[4] == 1
     assert vals == sorted(vals)
     assert vals[8] == 4
+
+
+def _rectangle(m):
+    """The floor(m/4) x (m/2 - floor(m/4)) rectangle: a closed Z^2 word of length m."""
+    a = m // 4
+    b = m // 2 - a
+    return (1,) * a + (2,) * b + (-1,) * a + (-2,) * b
+
+
+def test_dehn_z2_closed_form_matches_enumeration(z2):
+    levels = [closed_level_stats(z2, t)[2] for t in range(11)]
+    assert [int(r.value) for r in dehn_exact(z2, 10)] == list(itertools.accumulate(levels, max))
+
+
+def test_dehn_z2_closed_form_is_attained_by_the_rectangle(z2):
+    # D(m) = D(m + 1) = floor(m^2 / 16), the rectangle's area, at every even m
+    reports = dehn_exact(z2, 201)
+    for m in range(0, 201, 2):
+        word = _rectangle(m)
+        assert len(word) == m and z2.is_identity(Word(word))
+        area = _area_z2_codes(word)
+        assert area == m * m // 16
+        assert reports[m].value == reports[m + 1].value == area, m
+    # beyond that, the rectangle's side lengths give its area
+    for n, report in enumerate(dehn_exact(z2, 4001)):
+        m = n - n % 2
+        assert report.value == m // 4 * (m // 2 - m // 4), n
 
 
 def test_dehn_other_groups(z10, zxz2):

@@ -1,7 +1,7 @@
 """Property tests: the winding DP against enumeration, area on Z^2 (symmetries,
-winding field, the batched kernel), the projected-winding bound on Z^3, the
-oracle's symmetries on zxz2 and Z^3 and its move generator, and the Smith
-normal form."""
+winding field, the batched kernel, the Dehn bound), the projected-winding
+bound on Z^3, the oracle's symmetries on zxz2 and Z^3 and its move generator,
+and the Smith normal form."""
 
 from fractions import Fraction
 
@@ -22,7 +22,13 @@ from dehnlab import (
     osmean_exact,
     winding_field,
 )
-from dehnlab.area import _area_z2_rows, _moves, _relator_flips, _relator_rotations
+from dehnlab.area import (
+    _area_z2_codes,
+    _area_z2_rows,
+    _moves,
+    _relator_flips,
+    _relator_rotations,
+)
 from dehnlab.dehnstats import closed_level_stats, level_sums
 from dehnlab.presentation import smith_normal_form
 from dehnlab.words import reduce_codes
@@ -102,6 +108,14 @@ def test_batched_winding_matches_the_per_word_kernel(rows):
     for row, (codes, _) in zip(block, rows):
         row[: len(codes)] = codes
     assert _area_z2_rows(block).tolist() == [area_exact_z2(Word(codes)) for codes, _ in rows]
+
+
+@given(closed_words(2, max_size=40))
+@example((1, 1, 2, 2, -1, -1, -2, -2))  # the 2 x 2 square: the bound is attained
+@example((1, 2, 2, -1, -2, -2) * 2)  # the 1 x 2 rectangle traversed twice
+def test_z2_area_within_the_proven_dehn_bound(codes):
+    # the bound dehn_exact's closed form rests on: area <= floor(length^2 / 16)
+    assert _area_z2_codes(codes) <= len(codes) ** 2 // 16
 
 
 @given(closed_words(3), st.integers(0, 64), st.permutations((1, 2, 3)))
