@@ -2,11 +2,12 @@
 
 The classical function takes the worst filling area in a ball; the mean
 variants average over closed words (ball or sphere), over all words with
-combing closure, or over lazy words with pause symbols. D(n) is found by
-enumerating closed words; the means come from a per-cell winding DP that
-needs no enumeration, so they reach lengths no word list could. The exact
-osmean runs to n = 64 here, and a fit of a + b ln n to osmean(n)/n tests the
-shape n (a + b ln n) that Brownian winding-area densities predict.
+combing closure, or over lazy words with pause symbols. D(n) is the closed
+form floor(m^2 / 16), m the largest even number <= n, proven in `dehn_exact`;
+the means come from a per-cell winding DP that needs no enumeration, so they
+reach lengths no word list could. The exact osmean runs to n = 64 here, and a
+fit of a + b ln n to osmean(n)/n tests the shape n (a + b ln n) that Brownian
+winding-area densities predict.
 """
 
 import numpy as np
@@ -28,13 +29,13 @@ st = make_combing(z2, "staircase")
 N = 10
 print("exact Dehn statistics on Z^2 (standard presentation, staircase combing)")
 print(f"{'n':>3} {'D':>3} {'smean':>12} {'mean':>12} {'lazy-mean':>12} {'osmean':>12}")
-dehn = dehn_exact(z2, N)
 for n in range(0, N + 1):
+    d = dehn_exact(z2, n).value
     sm = smean_exact(z2, n).value
     mn = mean_exact(z2, n).value
     lz = lazy_mean(z2, n).value
     os_ = osmean_exact(z2, st, n).value
-    print(f"{n:>3} {int(dehn[n].value):>3} {str(sm):>12} {str(mn):>12} {str(lz):>12} {str(os_):>12}")
+    print(f"{n:>3} {int(d):>3} {str(sm):>12} {str(mn):>12} {str(lz):>12} {str(os_):>12}")
 
 print()
 print("the running spherical mean dominates the ball mean at every length:")
@@ -46,7 +47,7 @@ print()
 print("normalized by n (ln n)^2, the classical maximum still grows (it is")
 print("quadratic), while the means stay small:")
 for n in (4, 6, 8, 10):
-    r = dehn[n]
+    r = dehn_exact(z2, n)
     print(f"  n={n:>2}: D={int(r.value)}  D normalized = {r.normalized:.4f}  "
           f"smean normalized = {smean_exact(z2, n).normalized:.4f}")
 

@@ -133,39 +133,22 @@ def cmd_dehn(args) -> int:
     p = resolve_group(args.group)
     if args.n < 0:
         raise ValueError("--n must be non-negative")
-    sampled = args.samples is not None
-    if sampled and args.samples < 1:
-        raise ValueError("--samples must be positive")
-    if sampled and args.seed is None:
-        raise ValueError("--seed is required whenever sampling is requested")
-    if sampled:
-        _require_sampling_support(p, args.samples)  # before a combing can refuse p
-    comb = make_combing(p, args.combing) if args.kind == "osmean" or sampled else None
-
-    if args.kind == "D":
-        if sampled:
-            raise ValueError("the classical Dehn function is exact-only")
-        report = dehn_exact(p, args.n)[args.n]
-    elif args.kind == "mean":
-        if sampled:
-            raise ValueError("mean is exact-only; sample smean or osmean instead")
-        report = mean_exact(p, args.n)
-    elif args.kind == "lazy":
-        if sampled:
-            raise ValueError("lazy-mean is exact-only")
-        report = lazy_mean(p, args.n)
-    elif args.kind == "smean":
-        report = (
-            smean_sampled(p, comb, args.n, args.samples, args.seed)
-            if sampled
-            else smean_exact(p, args.n)
-        )
+    if args.samples is None:
+        if args.kind == "osmean":
+            report = osmean_exact(p, make_combing(p, args.combing), args.n)
+        else:
+            exact = {"D": dehn_exact, "mean": mean_exact, "smean": smean_exact, "lazy": lazy_mean}
+            report = exact[args.kind](p, args.n)
     else:
-        report = (
-            osmean_sampled(p, comb, args.n, args.samples, args.seed)
-            if sampled
-            else osmean_exact(p, comb, args.n)
-        )
+        if args.samples < 1:
+            raise ValueError("--samples must be positive")
+        if args.seed is None:
+            raise ValueError("--seed is required whenever sampling is requested")
+        _require_sampling_support(p, args.samples)  # before a combing can refuse p
+        sampler = {"smean": smean_sampled, "osmean": osmean_sampled}.get(args.kind)
+        if sampler is None:
+            raise ValueError(f"{args.kind} is exact-only; sample smean or osmean instead")
+        report = sampler(p, make_combing(p, args.combing), args.n, args.samples, args.seed)
 
     d = report.as_dict()
     if args.emit == "json":

@@ -15,7 +15,6 @@ estimates, normalized by n (ln n)^2 from n = 2 on.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -98,6 +97,12 @@ class DehnReport:
 
 
 # -- exact enumeration ------------------------------------------------------------
+
+
+def _check_length(n: int) -> None:
+    """Refuse a negative word length: no exact statistic is defined there."""
+    if n < 0:
+        raise ValueError(f"word length must be non-negative, got {n}")
 
 
 def _ball(p: AbelianPresentation, radius: int):
@@ -208,6 +213,7 @@ def closed_level_stats(
     in 28 classes); see `_exact_area`. Cyclic rotation is left out: it
     changes the free reduction that the search cap is measured from.
     """
+    _check_length(n)
     check_enumeration_budget(p.r, n, budget)
     area = _exact_area(p, max_expansions)
     count = 0
@@ -356,6 +362,7 @@ def level_sums(
     states); pruned enumeration level by level elsewhere (budget counts
     words per level).
     """
+    _check_length(n_max)
     if p.is_standard_z2:
         return _z2_level_sums(n_max, budget)
     return [
@@ -366,15 +373,15 @@ def level_sums(
 
 def dehn_exact(
     p: AbelianPresentation,
-    n_max: int,
+    n: int,
     *,
     budget: int | None = None,
     max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
-) -> list[DehnReport]:
-    """Exact classical D(n) for n <= n_max.
+) -> DehnReport:
+    """Exact classical D(n), the largest area of a closed word of length <= n.
 
     On standard Z^2, D(n) = floor(m^2 / 16) with m the largest even number
-    <= n, in O(1) per n; neither budget nor max_expansions applies. Proof:
+    <= n, in O(1); neither budget nor max_expansions applies. Proof:
     - A closed word's area is the sum over unit cells of |winding| (the
       identity `_area_z2_codes` computes), so by the layer cake it is the sum
       over t >= 1 of |{w >= t}| + |{w <= -t}|.
@@ -392,18 +399,19 @@ def dehn_exact(
       m, attains it.
     Enumeration (`closed_level_stats`) is the formula's test oracle.
 
-    Elsewhere, the running max of `closed_level_stats` over the levels: budget
-    counts the words of a level, max_expansions caps each oracle search.
+    Elsewhere, the largest `closed_level_stats` maximum over the lengths
+    t <= n: budget counts the words of a level, max_expansions caps each
+    oracle search.
     """
+    _check_length(n)
     if p.is_standard_z2:
-        values = [(t - t % 2) ** 2 // 16 for t in range(n_max + 1)]
+        value = (n - n % 2) ** 2 // 16
     else:
-        levels = (
+        value = max(
             closed_level_stats(p, t, budget=budget, max_expansions=max_expansions)[2]
-            for t in range(n_max + 1)
+            for t in range(n + 1)
         )
-        values = itertools.accumulate(levels, max)
-    return [DehnReport(n=t, kind=KIND_D, value=Fraction(v)) for t, v in enumerate(values)]
+    return DehnReport(n=n, kind=KIND_D, value=Fraction(value))
 
 
 def _smean(count: int, asum: int) -> Fraction:
@@ -466,6 +474,7 @@ def osmean_exact(
     staircase (budget counts cells x steps x states); elsewhere the total of
     osmean_by_endpoint's table (budget counts words).
     """
+    _check_length(n)
     if p.is_standard_z2:
         total = _z2_osmean_total(n, budget)
     else:
@@ -491,6 +500,7 @@ def osmean_by_endpoint(
     Z^2); budget counts words. It is the osmean route off standard Z^2 and the
     test oracle of the Z^2 winding DP.
     """
+    _check_length(n)
     check_enumeration_budget(p.r, n, budget)
     area = _exact_area(p, max_expansions)
     ball = _ball(p, n)

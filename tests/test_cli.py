@@ -80,6 +80,13 @@ def test_dehn_D_z2_closed_form_at_n_1000(capsys):
     assert out.splitlines()[3].startswith("1000,D,62500,")
 
 
+def test_dehn_D_z2_builds_only_the_report_asked_for(capsys):
+    # one O(1) report for n = 10^9, not the 10^9 + 1 reports of every length up to it
+    code, out, _ = run_cli(capsys, "dehn", "--group", "z2", "--kind", "D", "--n", "1000000000")
+    assert code == 0
+    assert out.splitlines()[3].split(",")[:3] == ["1000000000", "D", "62500000000000000"]
+
+
 def test_dehn_json_schema(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -305,6 +312,7 @@ def test_numpy_free_commands_do_not_import_numpy(tmp_path):
         ["dehn", "--group", "zxz2", "--kind", "smean", "--n", "4"],
         ["dehn", "--group", "z2", "--kind", "D", "--n", "6"],
         ["dehn", "--group", "z2", "--kind", "D", "--n", "1000"],
+        ["dehn", "--group", "z2", "--kind", "D", "--n", "1000000000"],
     ]
     control = ["count", "--group", "z2", "--n", "4"]
     proc = subprocess.run(
@@ -351,10 +359,24 @@ def test_cli_calls_layers_through_its_module_names(capsys, monkeypatch, tmp_path
 
         return wrapper
 
-    monkeypatch.setattr(cli, "f_recurrence", recording(cli.f_recurrence))
-    monkeypatch.setattr(cli, "closed_area_result", recording(cli.closed_area_result))
+    dehn_routes = [
+        ("D", [], "dehn_exact"),
+        ("mean", [], "mean_exact"),
+        ("lazy", [], "lazy_mean"),
+        ("smean", [], "smean_exact"),
+        ("osmean", [], "osmean_exact"),
+        ("smean", ["--samples", "10", "--seed", "1"], "smean_sampled"),
+        ("osmean", ["--samples", "10", "--seed", "1"], "osmean_sampled"),
+    ]
+    for name in ["f_recurrence", "closed_area_result"] + [fn for _, _, fn in dehn_routes]:
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
     words = tmp_path / "words.txt"
     words.write_text("a1 a2 A1 A2\na1 A1\n")
     assert run_cli(capsys, "cogrowth", "--n-max", "8")[0] == 0
     assert run_cli(capsys, "area", "--group", "zxz2", "--words-file", str(words))[0] == 0
     assert calls == ["f_recurrence", "closed_area_result", "closed_area_result"]
+    for kind, extra, fn in dehn_routes:
+        calls.clear()
+        argv = ["dehn", "--group", "z2", "--kind", kind, "--n", "4", *extra]
+        assert run_cli(capsys, *argv)[0] == 0, argv
+        assert calls == [fn], argv

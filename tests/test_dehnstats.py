@@ -79,8 +79,7 @@ def _enumerated_staircase_table(n):
 
 
 def test_dehn_exact_values(z2):
-    reports = dehn_exact(z2, 8)
-    vals = [int(r.value) for r in reports]
+    vals = [int(dehn_exact(z2, n).value) for n in range(9)]
     assert vals[2] == 0
     assert vals[4] == 1
     assert vals == sorted(vals)
@@ -96,29 +95,52 @@ def _rectangle(m):
 
 def test_dehn_z2_closed_form_matches_enumeration(z2):
     levels = [closed_level_stats(z2, t)[2] for t in range(11)]
-    assert [int(r.value) for r in dehn_exact(z2, 10)] == list(itertools.accumulate(levels, max))
+    assert [int(dehn_exact(z2, n).value) for n in range(11)] == list(itertools.accumulate(levels, max))
 
 
 def test_dehn_z2_closed_form_is_attained_by_the_rectangle(z2):
     # D(m) = D(m + 1) = floor(m^2 / 16), the rectangle's area, at every even m
-    reports = dehn_exact(z2, 201)
     for m in range(0, 201, 2):
         word = _rectangle(m)
         assert len(word) == m and z2.is_identity(Word(word))
         area = _area_z2_codes(word)
         assert area == m * m // 16
-        assert reports[m].value == reports[m + 1].value == area, m
+        assert dehn_exact(z2, m).value == dehn_exact(z2, m + 1).value == area, m
     # beyond that, the rectangle's side lengths give its area
-    for n, report in enumerate(dehn_exact(z2, 4001)):
+    for n in range(4002):
+        report = dehn_exact(z2, n)
         m = n - n % 2
-        assert report.value == m // 4 * (m // 2 - m // 4), n
+        assert report.n == n and report.value == m // 4 * (m // 2 - m // 4), n
 
 
 def test_dehn_other_groups(z10, zxz2):
     # the only positive-area closed words of length <= 10 in Z/10 are a^(+-10)
-    assert [int(r.value) for r in dehn_exact(z10, 10)] == [0] * 10 + [1]
+    assert [int(dehn_exact(z10, n).value) for n in range(11)] == [0] * 10 + [1]
     # b^2 fills with one relator, b^4 with two
-    assert [int(r.value) for r in dehn_exact(zxz2, 4)] == [0, 0, 1, 1, 2]
+    assert [int(dehn_exact(zxz2, n).value) for n in range(5)] == [0, 0, 1, 1, 2]
+
+
+@pytest.mark.parametrize("group", ["z2", "zxz2"])  # the Z^2 routes and the enumerating ones
+@pytest.mark.parametrize(
+    "statistic",
+    [
+        dehn_exact,
+        smean_exact,
+        mean_exact,
+        lazy_mean,
+        relation_check,
+        level_sums,
+        closed_level_stats,
+        osmean_exact,
+        osmean_by_endpoint,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_negative_length_raises(group, statistic):
+    p = builtin_presentation(group)
+    args = (p, make_combing(p, "bfs-lex")) if statistic.__name__.startswith("osmean") else (p,)
+    with pytest.raises(ValueError, match="non-negative"):
+        statistic(*args, -1)
 
 
 def test_unknown_keywords_raise(z2, st2):
