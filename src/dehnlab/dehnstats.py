@@ -399,9 +399,12 @@ def dehn_exact(
       m, attains it.
     Enumeration (`closed_level_stats`) is the formula's test oracle.
 
-    Elsewhere, the largest `closed_level_stats` maximum over the lengths
-    t <= n: budget counts the words of a level, max_expansions caps each
-    oracle search.
+    Elsewhere, the larger `closed_level_stats` maximum of the lengths n and
+    n - 1: budget counts the words of a level, max_expansions caps each
+    oracle search. The shorter levels cannot add to it: w -> w a1 A1 maps
+    the closed words of length t into those of length t + 2 with the same
+    free reduction, which is all the oracle sees of a word, so the level
+    maximum of t + 2 is at least that of t.
     """
     _check_length(n)
     if p.is_standard_z2:
@@ -409,7 +412,7 @@ def dehn_exact(
     else:
         value = max(
             closed_level_stats(p, t, budget=budget, max_expansions=max_expansions)[2]
-            for t in range(n + 1)
+            for t in range(max(n - 1, 0), n + 1)
         )
     return DehnReport(n=n, kind=KIND_D, value=Fraction(value))
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from dehnlab import AbelianPresentation, Word, builtin_presentation, cyclic, make_combing
-from dehnlab.presentation import commutator
+from dehnlab.presentation import commutator, load_presentation
 
 
 def W(text: str) -> Word:
@@ -42,6 +42,30 @@ def z10():
 @pytest.fixture(scope="session")
 def zxz2():
     return builtin_presentation("zxz2")
+
+
+# Z x Z_m presentations read from presentation files: the torsion on a2 with
+# m = 3, and zxz2 with its generators swapped and the commutator reversed.
+PRESENTATION_FILES = {
+    "zxz3": "generators 2\nrelator a2 a2 a2\nrelator a1 a2 A1 A2\n",
+    "z2xz": "generators 2\nrelator a1 a1\nrelator a2 a1 A2 A1\n",
+}
+
+
+def _presentation_file(tmp_path_factory, name):
+    path = tmp_path_factory.mktemp("presentations") / f"{name}.txt"
+    path.write_text(PRESENTATION_FILES[name])
+    return load_presentation(path)
+
+
+@pytest.fixture(scope="session")
+def zxz3(tmp_path_factory):
+    return _presentation_file(tmp_path_factory, "zxz3")
+
+
+@pytest.fixture(scope="session")
+def z2xz(tmp_path_factory):
+    return _presentation_file(tmp_path_factory, "z2xz")
 
 
 @pytest.fixture(scope="session")

@@ -20,10 +20,17 @@ from dehnlab import (
     smean_sampled,
     winding_field,
 )
-from dehnlab.area import _area_lower_bound, _area_z2_codes, _area_z2_rows, _fill_info
+from dehnlab.area import (
+    _area_lower_bound,
+    _area_z2_codes,
+    _area_z2_rows,
+    _column_shape,
+    _exponent_bound,
+    _fill_info,
+)
 from dehnlab.dehnstats import iter_closed_codes
 
-from conftest import W
+from conftest import WALK_PRESENTATIONS, W
 
 
 def _random_closed_z2(rng, n):
@@ -261,11 +268,78 @@ def test_closed_area_result_matches_oracle_on_short_words(group, request):
 
 
 def test_closed_area_result_long_torsion_words(zxz2):
-    # the torsion bound ceil(|a2 exponent sum| / 2) meets the filling: exact, no search
+    # the least chain (here |a2 exponent sum| / 2) meets the filling: exact, no search
     assert closed_area_result(zxz2, Word((2,) * 18)) == AreaResult.of(9)
-    # past the oracle cutoff the bracket keeps the torsion lower end
+    # past the oracle cutoff the bracket keeps the least-chain lower end:
+    # a conjugate of a2 a2, with one power cell and no square
     w = Word((1,) * 9 + (2, 2) + (-1,) * 9)
     assert closed_area_result(zxz2, w) == AreaResult(1, 19, False)
+    # a2^-1 a1^-3 a2 a1^3 has exponent sums 0 and area 3: where the torsion
+    # bound read 0, a starved search already brackets it from the area up
+    w = Word((-2, -1, -1, -1, 2, 1, 1, 1))
+    assert closed_area_result(zxz2, w, max_expansions=0) == AreaResult(3, 9, False)
+    assert closed_area_result(zxz2, w) == AreaResult.of(3)
+
+
+def test_column_shape_reads_z_times_z_m_only(zxz2, zxz3, z2xz, z2, z3, z10):
+    assert _column_shape(zxz2) == (1, 2, 2)
+    assert _column_shape(zxz3) == (1, 2, 3)
+    assert _column_shape(z2xz) == (2, 1, 2)
+    # inverted and rotated relators, and a trivial one, read the same
+    p = AbelianPresentation(2, [Word((-2, -2, -2, -2)), Word((-1, 2, 1, -2)), Word((1, -1))])
+    assert _column_shape(p) == (1, 2, 4)
+    assert _exponent_bound(p) is None
+    others = [
+        z2,
+        z3,
+        z10,
+        WALK_PRESENTATIONS["a1a1a2,[a1,a2]"](),
+        AbelianPresentation(2, [Word((1, 1)), Word((2, 2)), Word((1, 2, -1, -2))]),
+        AbelianPresentation(2, [Word((2, 2)), Word((1, 2, -1, -2)), Word((2, 1, -2, -1))]),
+        AbelianPresentation(2, [Word((1, 1)), Word((2, 2))]),
+        AbelianPresentation(2, [Word((2,)), Word((1, 2, -1, -2))]),
+    ]
+    assert [_column_shape(p) for p in others] == [None] * len(others)
+    assert all(_exponent_bound(p) is not None for p in others[2:])
+
+
+@pytest.mark.parametrize(
+    "group, codes, bound",
+    [
+        ("zxz2", (2, 2), 1),
+        ("zxz2", (1, 2, 2, -1), 1),
+        ("zxz2", (1, 2, -1, -2), 1),
+        ("zxz2", (1, 2, -1, 2), 2),  # a1 a2 A1 a2: one square and one power cell
+        ("zxz2", (1, 1, 2, -1, -1, 2), 3),
+        ("zxz3", (2, 2, 2), 1),
+        ("zxz3", (1, 2, 2, -1, 2), 2),
+        ("zxz3", (1, 2, 2, -1, -2, -2), 2),
+        ("z2xz", (1, 2, 1, -2), 2),
+        ("z2xz", (2, 2, 1, -2, -2, 1), 3),
+    ],
+)
+def test_least_chain_pins(group, codes, bound, request):
+    p = request.getfixturevalue(group)
+    assert _area_lower_bound(p)(codes) == bound
+    assert area_oracle(p, Word(codes)) == bound
+
+
+def test_least_chain_lies_below_the_area_on_a_zero_cycle(zxz2):
+    # every edge is crossed as often each way, so the least chain is 0; the
+    # word is no conjugate of one relator, so its area is at least 2
+    codes = (-1, -2, 1, -2, -2, -1, 2, 1, 2, 2)
+    assert _area_lower_bound(zxz2)(codes) == 0
+    assert area_oracle(zxz2, Word(codes)) == 2
+
+
+def test_least_chain_is_the_area_on_every_zxz2_word_of_length_6(zxz2):
+    # observed, not proven: the chain bound can lie below the area elsewhere
+    lower_bound = _area_lower_bound(zxz2)
+    count = 0
+    for codes in iter_closed_codes(zxz2, 6):
+        assert lower_bound(codes) == area_oracle(zxz2, Word(codes)), codes
+        count += 1
+    assert count == 924
 
 
 def test_sandwich_on_z3(z3):
@@ -303,14 +377,15 @@ def test_oracle_budget_interval(z2):
 
 
 # The least max_expansions at which area_oracle returns an int. Any change
-# to the oracle's successor sets or heap keys changes the order in which
-# words are popped, and with it these budgets.
+# to the oracle's successor sets, heap keys or heuristic changes the order in
+# which words are popped, and with it these budgets. Each word needs at least
+# one expansion, so both sides of its threshold are tested.
 @pytest.mark.parametrize(
     "group, codes, budget, area",
     [
-        ("zxz2", (2, -2, 1, 1, -2, -1, 2, -2, -1, 2), 33, 2),
-        ("zxz2", (-2, -1, -1, 1, 1, 1, 1, -2, -1, -1), 235, 3),
-        ("zxz2", (-2, 1, 1, -2, -2, -2, -1, 1, -1, -1), 1154, 4),
+        ("zxz2", (2, -1, 2, 1, -2, -1, 2, 1, -2, -2), 6, 2),
+        ("zxz2", (-2, -1, -1, 1, 1, 1, 1, -2, -1, -1), 3, 3),
+        ("zxz2", (-2, 1, 1, -2, -2, -2, -1, 1, -1, -1), 4, 4),
         ("z3", (-2, -2, -1, 1, 2, 3, -1, 2, 1, -3), 13, 2),
         ("z3", (-2, -3, 2, 2, 1, 3, 1, -2, -1, -1), 70, 5),
         ("z3", (2, 1, 1, -3, -2, -1, 2, -1, -2, 3), 103, 4),

@@ -73,6 +73,12 @@ def test_dehn_exact_smean(capsys):
     assert row.startswith("4,smean,2/9,")
 
 
+def test_dehn_exact_smean_zxz2_n8(capsys):
+    code, out, _ = run_cli(capsys, "dehn", "--group", "zxz2", "--kind", "smean", "--n", "8")
+    assert code == 0
+    assert out.splitlines()[3].startswith("8,smean,9092/6435,")
+
+
 def test_dehn_D_z2_closed_form_at_n_1000(capsys):
     # floor(1000^2 / 16), from the closed form: 4^1000 words are never listed
     code, out, _ = run_cli(capsys, "dehn", "--group", "z2", "--kind", "D", "--n", "1000")
@@ -310,6 +316,7 @@ def test_numpy_free_commands_do_not_import_numpy(tmp_path):
         ["area", "--group", "z3", "--words-file", str(words)],
         ["area", "--group", "zxz2", "--words-file", str(words)],
         ["dehn", "--group", "zxz2", "--kind", "smean", "--n", "4"],
+        ["dehn", "--group", "zxz2", "--kind", "D", "--n", "6"],
         ["dehn", "--group", "z2", "--kind", "D", "--n", "6"],
         ["dehn", "--group", "z2", "--kind", "D", "--n", "1000"],
         ["dehn", "--group", "z2", "--kind", "D", "--n", "1000000000"],

@@ -120,6 +120,37 @@ def test_dehn_other_groups(z10, zxz2):
     assert [int(dehn_exact(zxz2, n).value) for n in range(5)] == [0, 0, 1, 1, 2]
 
 
+@pytest.mark.parametrize("group, n_max", [("zxz2", 8), ("z3", 6), ("z10", 10)])
+def test_dehn_reads_levels_n_and_n_minus_1_only(group, n_max, request):
+    # w -> w a1 A1 keeps the free reduction, so no level maximum falls two lengths on
+    p = request.getfixturevalue(group)
+    running = 0
+    for n in range(n_max + 1):
+        running = max(running, closed_level_stats(p, n)[2])
+        assert dehn_exact(p, n).value == running, n
+
+
+def test_zxz2_length_8_pins(zxz2):
+    # 190 oracle searches, each steered by the least chain
+    assert closed_level_stats(zxz2, 8) == (12870, 18184, 4)
+    assert smean_exact(zxz2, 8).value == Fraction(9092, 6435)
+    assert dehn_exact(zxz2, 8).value == 4
+
+
+# Pinned from the torsion-bound heuristic, before the least chain steered the
+# oracle on Z x Z_m: a heuristic changes the search, never the least cost.
+@pytest.mark.parametrize(
+    "group, levels",
+    [
+        ("zxz3", [(1, 0, 0), (0, 0, 0), (4, 0, 0), (2, 2, 1), (36, 8, 1), (50, 70, 2), (402, 196, 2)]),
+        ("z2xz", [(1, 0, 0), (0, 0, 0), (6, 2, 1), (0, 0, 0), (70, 52, 2), (0, 0, 0), (924, 1008, 3)]),
+    ],
+)
+def test_level_stats_of_presentation_files(group, levels, request):
+    p = request.getfixturevalue(group)
+    assert [closed_level_stats(p, n) for n in range(7)] == levels
+
+
 @pytest.mark.parametrize("group", ["z2", "zxz2"])  # the Z^2 routes and the enumerating ones
 @pytest.mark.parametrize(
     "statistic",

@@ -1,7 +1,7 @@
 """Property tests: the winding DP against enumeration, area on Z^2 (symmetries,
 winding field, the batched kernel, the Dehn bound), the projected-winding
 bound on Z^3, the oracle's symmetries on zxz2 and Z^3 and its move generator,
-and the Smith normal form."""
+the least-chain bound on Z x Z_m, and the Smith normal form."""
 
 from fractions import Fraction
 
@@ -23,17 +23,19 @@ from dehnlab import (
     winding_field,
 )
 from dehnlab.area import (
+    _area_lower_bound,
     _area_z2_codes,
     _area_z2_rows,
+    _column_shape,
     _moves,
     _relator_flips,
     _relator_rotations,
 )
 from dehnlab.dehnstats import closed_level_stats, level_sums
-from dehnlab.presentation import smith_normal_form
+from dehnlab.presentation import load_presentation_text, smith_normal_form
 from dehnlab.words import reduce_codes
 
-from conftest import WALK_PRESENTATIONS
+from conftest import PRESENTATION_FILES, WALK_PRESENTATIONS
 
 Z2 = builtin_presentation("z2")
 STAIRCASE = make_combing(Z2, "staircase")
@@ -215,6 +217,120 @@ def test_oracle_moves_are_the_capped_free_reductions(case):
     }
     # ... and leaving those out loses no successor
     assert set(got.values()) == set(every.values())
+
+
+CHAIN_GROUPS = {
+    "zxz2": ZXZ2,
+    **{name: load_presentation_text(text) for name, text in PRESENTATION_FILES.items()},
+}
+
+
+@st.composite
+def torsion_closed_words(draw):
+    """(group name, a closed word) on one of the Z x Z_m of CHAIN_GROUPS.
+
+    At most 4 random letters, closed by a permutation of their return: the
+    free generator's exponent sum back to 0, the torsion one's to a multiple
+    of m, either way round. On zxz2 that is at most 8 letters.
+    """
+    name = draw(st.sampled_from(sorted(CHAIN_GROUPS)))
+    a, b, m = _column_shape(CHAIN_GROUPS[name])
+    codes = draw(st.lists(st.sampled_from([a, -a, b, -b]), max_size=4))
+    ea = codes.count(a) - codes.count(-a)
+    eb = codes.count(b) - codes.count(-b)
+    back = [-a if ea > 0 else a] * abs(ea)
+    back += draw(st.sampled_from([[b] * (-eb % m), [-b] * (eb % m)]))
+    return name, tuple(codes) + tuple(draw(st.permutations(back)))
+
+
+def _window_chain(codes, a, b, m):
+    """The least chain by a plain DP over the window |a_x| <= U0, the test reference.
+
+    It walks the word's full 1-cycle, checks that the a = 0 chain (squares
+    H_{x,s}, power cells c_x) fills it, and then tries every a_x in the
+    window against every a_{x-1}. The window holds an optimum: square (x, 0)
+    has coefficient a_x, so a chain with |a_x| > U0 costs more than the
+    a = 0 chain, which costs U0.
+    """
+    x = s = lo = hi = 0
+    za: dict = {}
+    zb: dict = {}
+    for c in codes:
+        if c == a:
+            za[x, s] = za.get((x, s), 0) + 1
+            x += 1
+        elif c == -a:
+            x -= 1
+            za[x, s] = za.get((x, s), 0) - 1
+        elif c == b:
+            zb[x, s] = zb.get((x, s), 0) + 1
+            s = (s + 1) % m
+        else:
+            s = (s - 1) % m
+            zb[x, s] = zb.get((x, s), 0) - 1
+        lo, hi = min(lo, x), max(hi, x)
+    H = {x: [sum(za.get((x, t), 0) for t in range(1, k + 1)) for k in range(m)] for x in range(lo, hi)}
+    c = {x: zb.get((x, 0), 0) for x in range(lo, hi + 1)}
+    for x in range(lo, hi + 1):
+        assert sum(za.get((x, s), 0) for s in range(m)) == 0
+        for s in range(m):
+            west, east = H.get(x - 1, [0] * m)[s], H.get(x, [0] * m)[s]
+            assert west - east + c[x] == zb.get((x, s), 0)
+    u0 = sum(abs(h) for col in H.values() for h in col) + sum(map(abs, c.values()))
+    cost = {0: 0}  # a_{lo - 1} = 0
+    for x in range(lo, hi):
+        cost = {
+            ax: sum(abs(ax + h) for h in H[x])
+            + min(v + abs(ax - prev + c[x]) for prev, v in cost.items())
+            for ax in range(-u0, u0 + 1)
+        }
+    return min(v + abs(c[hi] - prev) for prev, v in cost.items())
+
+
+@given(torsion_closed_words())
+@example(("zxz2", (-2, -1, -1, -1, 2, 1, 1, 1)))  # area 3, exponent sums 0
+@example(("zxz3", (1, 2, 2, -1, -2, -2)))
+# column 0 leaves its cost least on a_0 in [2, 4], which column 1 must not overcharge
+@example(("zxz3", (1, 2, -1, -2) * 2 + (1, 2, 2, -1, -2, -2) * 2 + (1, 1, 2, -1, -2, -1)))
+def test_least_chain_is_the_window_dp(case):
+    name, codes = case
+    p = CHAIN_GROUPS[name]
+    assert _area_lower_bound(p)(codes) == _window_chain(codes, *_column_shape(p))
+
+
+@given(torsion_closed_words())
+def test_least_chain_between_the_torsion_bound_and_the_area(case):
+    name, codes = case
+    p = CHAIN_GROUPS[name]
+    _, b, m = _column_shape(p)
+    bound = _area_lower_bound(p)(codes)
+    torsion = -(-abs(codes.count(b) - codes.count(-b)) // m)
+    assert torsion <= bound <= area_oracle(p, Word(codes))
+
+
+@given(torsion_closed_words(), st.integers(0, 64))
+def test_least_chain_invariant_under_rotation_inversion_and_flips(case, shift):
+    name, codes = case
+    p = CHAIN_GROUPS[name]
+    bound = _area_lower_bound(p)
+    k = shift % len(codes) if codes else 0
+    images = [codes[k:] + codes[:k], tuple(-c for c in reversed(codes))]
+    images += [tuple(signs[abs(c) - 1] * c for c in codes) for signs in _relator_flips(p)]
+    assert {bound(w) for w in images} == {bound(codes)}
+
+
+@given(torsion_closed_words())
+def test_least_chain_is_consistent_across_moves(case):
+    # the oracle's heuristic moves by at most 1 along every edge of its search
+    name, codes = case
+    p = CHAIN_GROUPS[name]
+    bound = _area_lower_bound(p)
+    rots = _relator_rotations(p)
+    start = reduce_codes(codes)
+    h = bound(start)
+    assert h == bound(codes)
+    cap = len(start) + 2 * max(map(len, rots))
+    assert all(abs(bound(word) - h) <= 1 for _, _, word in _moves(start, rots, cap))
 
 
 @st.composite
