@@ -10,7 +10,8 @@ Every presentation has one certified lower bound, `_area_lower_bound`: the
 projected winding (the Z^2 kernel on each generator plane) when all relators
 are closed in Z^r, the least integral 2-chain (a DP over the columns) on
 <a, b | b^m, [a, b]>, and weighted torsion exponent sums otherwise. It steers
-the oracle and is the lower end of every reported bracket.
+the oracle, updated per move from the popped word on Z^r and on the torsion
+route, and is the lower end of every reported bracket.
 """
 
 from __future__ import annotations
@@ -171,18 +172,19 @@ def area_exact_z2(w: Word) -> int:
     return _area_z2_codes(w.codes)
 
 
-def _projected_winding(codes, r: int) -> int:
+def _projected_winding(codes, r: int, fields: dict | None = None) -> int:
     """Sum over generator pairs i<j of the winding area of the (i,j) projection.
 
     The projection keeps the letters of a_i and a_j, renumbered to the Z^2
     codes 1 and 2, and `_area_z2_codes` scores it. At r = 2 the projection is
-    the word itself. Callers pass closed words over the rank-r alphabet.
+    the word itself. Callers pass closed words over the rank-r alphabet. A
+    given `fields` gets the (i,j) projection's nonzero cells at fields[i, j].
     """
     total = 0
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            plane = {i: 1, -i: -1, j: 2, -j: -2}
-            total += _area_z2_codes([plane[c] for c in codes if c in plane])
+    for i, j in itertools.combinations(range(1, r + 1), 2):
+        plane = {i: 1, -i: -1, j: 2, -j: -2}
+        cells = None if fields is None else fields.setdefault((i, j), {})
+        total += _area_z2_codes([plane[c] for c in codes if c in plane], cells)
     return total
 
 
@@ -466,6 +468,52 @@ def _area_lower_bound(p: AbelianPresentation):
     return _per_unit(mass, unit)
 
 
+def _move_scorer(p: AbelianPresentation, rots):
+    """codes -> score(i, t, nxt): `_area_lower_bound(p)` of each `_moves` successor.
+
+    Free reduction keeps the exponent sums and the 1-cycle, so the move (i, t)
+    adds e(rots[t]) to the exponent sums of codes and adds the plane fields of
+    rots[t], shifted by the prefix point P_i, to those of codes: the mass moves
+    by the sum of |w + d| - |w| over the rotation's cells (one for a
+    commutator). On Z x Z_m the least chain is rerun on each successor.
+    """
+    r = p.r
+    exp_bound = _exponent_bound(p)
+    if exp_bound is not None:
+        shifts = [tuple(_exponent_sums(rel, r)) for rel in rots]
+
+        def torsion(codes):
+            e = _exponent_sums(codes, r)
+            h_of = {d: exp_bound([a + b for a, b in zip(e, d)]) for d in set(shifts)}
+            return lambda i, t, nxt: h_of[shifts[t]]
+
+        return torsion
+    if not p.is_standard_free:
+        bound = _least_chain(*_column_shape(p))
+        return lambda codes: lambda i, t, nxt: bound(nxt)
+    rot_cells, unit = [], 0
+    for rel in rots:
+        fields: dict = {}
+        unit = max(unit, _projected_winding(rel, r, fields))
+        rot_cells.append([(*ij, *uv, d) for ij, f in fields.items() for uv, d in f.items()])
+
+    def planes(codes):
+        fields: dict = {}
+        mass = _projected_winding(codes, r, fields)
+        points = [_exponent_sums(codes[:i], r) for i in range(len(codes) + 1)]
+
+        def score(i, t, nxt):
+            at, total = points[i], mass
+            for a, b, du, dv, d in rot_cells[t]:
+                w = fields[a, b].get((at[a] + du, at[b] + dv), 0)
+                total += abs(w + d) - abs(w)
+            return -(-total // unit) if unit else 0
+
+        return score
+
+    return planes
+
+
 def area_oracle(
     p: AbelianPresentation,
     w: Word,
@@ -485,11 +533,11 @@ def area_oracle(
     `_moves` generates the moves: letters cancel only at the two junctions
     of the splice, so it counts the cancellations and checks the cap before
     building a word, and it skips a rotation whose word a neighbouring
-    rotation already makes at the split before. On the torsion route the
-    bound reads only exponent sums, so it is scored once per popped word
-    for each relator's exponent shift, not once per pushed word. Neither
-    changes the successor set or the heap keys (f, -g, word), which are
-    totally ordered, so the words are popped in the same order.
+    rotation already makes at the split before. One `_move_scorer` call per
+    pop does the work the successors share, then each pushed word is scored
+    by the change its move makes, exactly `_area_lower_bound` of that word.
+    Neither changes the successor set or the heap keys (f, -g, word), which
+    are totally ordered, so the words are popped in the same order.
 
     The capped search sees w only through its free reduction, and it
     respects word inversion and every flip of `_relator_flips(p)`: each maps
@@ -511,18 +559,12 @@ def area_oracle(
         raise ValueError("presentation has no relators to fill with")
     maxrel = max(len(t) for t in rots)
     cap = len(start) + (2 * maxrel if slack is None else slack)
-    hfun = _area_lower_bound(p)
-    # On the torsion route the bound reads only exponent sums, which free
-    # reduction keeps: every word made with rots[t] is scored from
-    # e(codes) + e(rots[t]), once per popped word and shift.
-    exp_bound = _exponent_bound(p)
-    shifts = sorted({tuple(_exponent_sums(rel, p.r)) for rel in rots})
-    shift_of = [shifts.index(tuple(_exponent_sums(rel, p.r))) for rel in rots]
+    scorer = _move_scorer(p, rots)
 
     g_of = {start: 0}
-    heap = [(hfun(start), 0, start)]
+    last_f = _area_lower_bound(p)(start)
+    heap = [(last_f, 0, start)]
     expansions = 0
-    last_f = hfun(start)
     while heap:
         f, negg, codes = heapq.heappop(heap)
         g = -negg
@@ -535,14 +577,11 @@ def area_oracle(
         if expansions > max_expansions:
             break
         g2 = g + 1
-        if exp_bound is not None:
-            e = _exponent_sums(codes, p.r)
-            h_of = [exp_bound([a + b for a, b in zip(e, d)]) for d in shifts]
-        for _, t, nxt in _moves(codes, rots, cap):
+        score = scorer(codes)
+        for i, t, nxt in _moves(codes, rots, cap):
             if g2 < g_of.get(nxt, g2 + 1):
                 g_of[nxt] = g2
-                h = hfun(nxt) if exp_bound is None else h_of[shift_of[t]]
-                heapq.heappush(heap, (g2 + h, -g2, nxt))
+                heapq.heappush(heap, (g2 + score(i, t, nxt), -g2, nxt))
 
     # Not solved: popped f values are non-decreasing lower bounds on the area.
     lower = last_f
@@ -587,13 +626,14 @@ def _sort_fill_upper(p: AbelianPresentation, codes):
     """Certified area upper bound: sort letters by generator, cancel torsion powers.
 
     Each adjacent transposition of distinct generators is one commutator
-    relator; each residual a_i^(m_i) block is one power relator. Returns None
-    when the presentation's relators do not support this filling.
+    relator; each residual a_i^(m_i) block is one power relator. It fills
+    the cyclic reduction: a filling of the core plus a stalk fills the word.
+    Returns None when the presentation's relators do not support this filling.
     """
     info = _fill_info(p.relators, p.r)
     if info is None:
         return None
-    codes = reduce_codes(codes)
+    codes = _cyclic_reduce(reduce_codes(codes))
     counts = [0] * (p.r + 1)
     inversions = 0
     exps = [0] * (p.r + 1)

@@ -270,10 +270,10 @@ def test_closed_area_result_matches_oracle_on_short_words(group, request):
 def test_closed_area_result_long_torsion_words(zxz2):
     # the least chain (here |a2 exponent sum| / 2) meets the filling: exact, no search
     assert closed_area_result(zxz2, Word((2,) * 18)) == AreaResult.of(9)
-    # past the oracle cutoff the bracket keeps the least-chain lower end:
-    # a conjugate of a2 a2, with one power cell and no square
+    # past the oracle cutoff a conjugate of a2 a2, with one power cell and no
+    # square, is exact without a search: the filler fills its cyclic core
     w = Word((1,) * 9 + (2, 2) + (-1,) * 9)
-    assert closed_area_result(zxz2, w) == AreaResult(1, 19, False)
+    assert closed_area_result(zxz2, w) == AreaResult.of(1)
     # a2^-1 a1^-3 a2 a1^3 has exponent sums 0 and area 3: where the torsion
     # bound read 0, a starved search already brackets it from the area up
     w = Word((-2, -1, -1, -1, 2, 1, 1, 1))

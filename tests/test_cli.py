@@ -79,6 +79,13 @@ def test_dehn_exact_smean_zxz2_n8(capsys):
     assert out.splitlines()[3].startswith("8,smean,9092/6435,")
 
 
+def test_dehn_exact_smean_z3_n8(capsys):
+    # (count, sum, max) = (44730, 53712, 5) over the closed words of length 8
+    code, out, _ = run_cli(capsys, "dehn", "--group", "z3", "--kind", "smean", "--n", "8")
+    assert code == 0
+    assert out.splitlines()[3].startswith("8,smean,2984/2485,")
+
+
 def test_dehn_D_z2_closed_form_at_n_1000(capsys):
     # floor(1000^2 / 16), from the closed form: 4^1000 words are never listed
     code, out, _ = run_cli(capsys, "dehn", "--group", "z2", "--kind", "D", "--n", "1000")

@@ -1,7 +1,7 @@
 """Property tests: the winding DP against enumeration, area on Z^2 (symmetries,
 winding field, the batched kernel, the Dehn bound), the projected-winding
-bound on Z^3, the oracle's symmetries on zxz2 and Z^3 and its move generator,
-the least-chain bound on Z x Z_m, and the Smith normal form."""
+bound on Z^3, the oracle's symmetries on zxz2 and Z^3, its move generator and
+its per-move scores, the least-chain bound on Z x Z_m, and the Smith normal form."""
 
 from fractions import Fraction
 
@@ -27,12 +27,13 @@ from dehnlab.area import (
     _area_z2_codes,
     _area_z2_rows,
     _column_shape,
+    _move_scorer,
     _moves,
     _relator_flips,
     _relator_rotations,
 )
 from dehnlab.dehnstats import closed_level_stats, level_sums
-from dehnlab.presentation import load_presentation_text, smith_normal_form
+from dehnlab.presentation import free_abelian, load_presentation_text, smith_normal_form
 from dehnlab.words import reduce_codes
 
 from conftest import PRESENTATION_FILES, WALK_PRESENTATIONS
@@ -217,6 +218,43 @@ def test_oracle_moves_are_the_capped_free_reductions(case):
     }
     # ... and leaving those out loses no successor
     assert set(got.values()) == set(every.values())
+
+
+SCORED_GROUPS = {
+    "z2": Z2,
+    "z3": Z3,
+    "z4": free_abelian(4),
+    # every relator closed in Z^3; [a1^2, a2^2] winds 4 cells, so the unit is 4
+    "z3,[a1a1,a2a2]": load_presentation_text(
+        "generators 3\nrelator a1 a2 A1 A2\nrelator a1 a3 A1 A3\nrelator a2 a3 A2 A3\n"
+        "relator a1 a1 a2 a2 A1 A1 A2 A2\n"
+    ),
+    "zxz2": ZXZ2,
+    "a1a1a2,[a1,a2]": MOVE_GROUPS["a1a1a2,[a1,a2]"],
+}
+
+
+@st.composite
+def scored_words(draw):
+    """(group name, a closed Z^r word) for a group of SCORED_GROUPS."""
+    name = draw(st.sampled_from(sorted(SCORED_GROUPS)))
+    return name, draw(closed_words(SCORED_GROUPS[name].r, max_size=12))
+
+
+# the 2 x 1 rectangle: the [a1^2, a2^2] cells overlap its winding at a shifted base point
+@example(("z3,[a1a1,a2a2]", (1, 1, 2, -1, -1, -2)))
+@given(scored_words())
+def test_oracle_scores_each_move_as_the_lower_bound_of_its_word(case):
+    # the scorer updates the popped word's bound by the move; it must be the
+    # bound of the pushed word, or the search order and expansion counts change
+    name, codes = case
+    p = SCORED_GROUPS[name]
+    bound = _area_lower_bound(p)
+    rots = _relator_rotations(p)
+    start = reduce_codes(codes)
+    cap = len(start) + 2 * max(map(len, rots))
+    score = _move_scorer(p, rots)(start)
+    assert all(score(i, t, word) == bound(word) for i, t, word in _moves(start, rots, cap))
 
 
 CHAIN_GROUPS = {
