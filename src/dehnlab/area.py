@@ -472,10 +472,10 @@ def _move_scorer(p: AbelianPresentation, rots):
     """codes -> score(i, t, nxt): `_area_lower_bound(p)` of each `_moves` successor.
 
     Free reduction keeps the exponent sums and the 1-cycle, so the move (i, t)
-    adds e(rots[t]) to the exponent sums of codes and adds the plane fields of
-    rots[t], shifted by the prefix point P_i, to those of codes: the mass moves
-    by the sum of |w + d| - |w| over the rotation's cells (one for a
-    commutator). On Z x Z_m the least chain is rerun on each successor.
+    adds e(rots[t]) and the plane fields of rots[t], shifted by the prefix
+    point P_i, to those of codes: the mass moves by the sum of |w + d| - |w|
+    over its cells (its relator's, shifted by -P_k at offset k and negated
+    for the inverse). Z x Z_m reruns the least chain on each successor.
     """
     r = p.r
     exp_bound = _exponent_bound(p)
@@ -491,16 +491,25 @@ def _move_scorer(p: AbelianPresentation, rots):
     if not p.is_standard_free:
         bound = _least_chain(*_column_shape(p))
         return lambda codes: lambda i, t, nxt: bound(nxt)
-    rot_cells, unit = [], 0
-    for rel in rots:
-        fields: dict = {}
-        unit = max(unit, _projected_winding(rel, r, fields))
-        rot_cells.append([(*ij, *uv, d) for ij, f in fields.items() for uv, d in f.items()])
+    shifted, unit = {}, 0
+    for rel in p.relators:
+        core, fields = _cyclic_reduce(reduce_codes(rel.codes)), {}
+        unit = max(unit, _projected_winding(core, r, fields))
+        cells = [(*ij, *uv, d) for ij, f in fields.items() for uv, d in f.items()]
+        for sign, base in ((1, core), (-1, tuple(-c for c in reversed(core)))):
+            for k in range(len(base)):
+                at = _exponent_sums(base[:k], r)
+                rot = [(a, b, u - at[a], v - at[b], sign * d) for a, b, u, v, d in cells]
+                shifted[base[k:] + base[:k]] = rot
+    rot_cells = [shifted[rel] for rel in rots]
 
     def planes(codes):
         fields: dict = {}
         mass = _projected_winding(codes, r, fields)
-        points = [_exponent_sums(codes[:i], r) for i in range(len(codes) + 1)]
+        points = [[0] * (r + 1)]
+        for c in codes:
+            points.append(points[-1][:])
+            points[-1][abs(c)] += 1 if c > 0 else -1
 
         def score(i, t, nxt):
             at, total = points[i], mass

@@ -46,11 +46,12 @@ KIND_LAZY_MEAN = "lazy-mean"
 
 DEFAULT_DP_BUDGET = 2**28
 Z_95 = 1.96
-# The samplers score their words in blocks of about this many letters: large
-# enough to amortize numpy's per-call cost, small enough that the kernel's
-# temporaries stay under 1 MB (on a 2-vCPU Xeon, 2^14 letters per block ran
-# faster per letter than 2^15 to 2^17).
+# The samplers score words in blocks of about this many letters, enough to
+# amortize numpy's per-call cost with temporaries under 1 MB (2^14 beat 2^15 to
+# 2^17 per letter on a 2-vCPU Xeon), and draw SAMPLE_CHUNK_BLOCKS blocks at a
+# time: a draw per block was slower, as glibc then remaps the temporaries.
 SAMPLE_BLOCK_LETTERS = 2**14
+SAMPLE_CHUNK_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -524,11 +525,6 @@ def osmean_by_endpoint(
 # -- sampling ---------------------------------------------------------------------
 
 
-def _block_rows(n: int) -> int:
-    """Rows of length-n words per scored block: about SAMPLE_BLOCK_LETTERS letters."""
-    return max(1, SAMPLE_BLOCK_LETTERS // max(n, 1))
-
-
 def _require_sampling_support(p: AbelianPresentation, samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
@@ -536,18 +532,29 @@ def _require_sampling_support(p: AbelianPresentation, samples: int) -> None:
         raise ValueError("samplers are implemented for the standard Z^2 presentation")
 
 
-def _mean_report(kind, n, areas, seed, combing) -> DehnReport:
+def _sampled_report(kind, n, samples, seed, combing, draw, close=lambda rows: rows) -> DehnReport:
+    """Mean area of `samples` sampled words, drawn one chunk at a time.
+
+    draw(k, rng) gives the seeded stream's next k words as rows; close makes a
+    block of them closed code rows, right-padded with 0, for `_area_z2_rows`.
+    numpy draws int16 letters in pairs and drops a call's odd half, so an even
+    SAMPLE_CHUNK_BLOCKS keeps the chunked stream equal to one draw of all the
+    samples, also at odd n. One sample has no spread, so it gets no interval.
+    """
+    import numpy as np
+    rng = make_rng(seed)
+    rows = max(1, SAMPLE_BLOCK_LETTERS // max(n, 1))
+    chunk = rows * SAMPLE_CHUNK_BLOCKS
+    areas = np.empty(samples, dtype=np.float64)
+    for start in range(0, samples, chunk):
+        words = draw(min(chunk, samples - start), rng)
+        for b in range(0, len(words), rows):
+            areas[start + b : start + b + rows] = _area_z2_rows(close(words[b : b + rows]))
     est = float(areas.mean())
-    stderr = float(areas.std(ddof=1)) / math.sqrt(len(areas)) if len(areas) > 1 else math.nan
+    stderr = float(areas.std(ddof=1)) / math.sqrt(samples) if samples > 1 else None
+    lo, hi = (None, None) if stderr is None else (est - Z_95 * stderr, est + Z_95 * stderr)
     return DehnReport(
-        n=n,
-        kind=kind,
-        estimate=est,
-        ci_low=est - Z_95 * stderr,
-        ci_high=est + Z_95 * stderr,
-        samples=len(areas),
-        seed=seed,
-        combing=combing,
+        n, kind, estimate=est, ci_low=lo, ci_high=hi, samples=samples, seed=seed, combing=combing
     )
 
 
@@ -563,25 +570,24 @@ def osmean_sampled(
     Each sampled word, ending at (dx, dy), is closed by the staircase word
     a1^dx a2^dy, which every combing of Z^2 is, read backwards with every
     letter inverted: |dy| letters -sign(dy) a2, then |dx| letters -sign(dx) a1.
-    `_area_z2_rows` scores the closed words in blocks of about
-    SAMPLE_BLOCK_LETTERS letters, each row zero-padded to its block's
-    longest closing word.
+    `_sampled_report` draws the letter slots of a chunk in one call, and pads
+    each block to its longest closing word.
     """
     import numpy as np
     _require_sampling_support(p, samples)
-    codes = slots_to_codes(sample_letter_matrix(2, n, samples, make_rng(seed)))
-    rows = _block_rows(n)
-    areas = np.empty(samples, dtype=np.float64)
-    for start in range(0, samples, rows):
-        part = codes[start : start + rows]
+
+    def draw(k, rng):
+        return slots_to_codes(sample_letter_matrix(2, n, k, rng))
+
+    def close(part):
         dx = ((part == 1).sum(axis=1) - (part == -1).sum(axis=1))[:, None]
         dy = ((part == 2).sum(axis=1) - (part == -2).sum(axis=1))[:, None]
         ax, ay = np.abs(dx), np.abs(dy)
         j = np.arange((ax + ay).max())
-        close = np.where(j < ay, -2 * np.sign(dy), np.where(j < ax + ay, -np.sign(dx), 0))
-        block = np.concatenate([part, close.astype(part.dtype)], axis=1)
-        areas[start : start + len(part)] = _area_z2_rows(block)
-    return _mean_report(KIND_OSMEAN, n, areas, seed, c.kind)
+        back = np.where(j < ay, -2 * np.sign(dy), np.where(j < ax + ay, -np.sign(dx), 0))
+        return np.concatenate([part, back.astype(part.dtype)], axis=1)
+
+    return _sampled_report(KIND_OSMEAN, n, samples, seed, c.kind, draw, close)
 
 
 def smean_sampled(
@@ -596,26 +602,21 @@ def smean_sampled(
     A closed Z^2 word is a pair of balanced +-1 sequences, the steps of x + y
     and of x - y (a1 is (+1, +1), A1 (-1, -1), a2 (+1, -1), A2 (-1, +1)), so
     two independent shuffles of n/2 (+1)s and n/2 (-1)s draw one uniformly.
-    Words are drawn one at a time into a block of about SAMPLE_BLOCK_LETTERS
-    letters, which `_area_z2_rows` scores at once.
+    A chunk of k words shuffles the rows of 2k copies in one call, rows 2i and
+    2i + 1 being word i's: the stream of one shuffle per sequence.
     """
     import numpy as np
     _require_sampling_support(p, samples)
     if n % 2:
         return DehnReport(n=n, kind=KIND_SMEAN, value=Fraction(0), combing=c.kind)
-    rng = make_rng(seed)
     half = np.repeat(np.array([1, -1], dtype=np.int8), n // 2)
-    rows = _block_rows(n)
-    block = np.empty((rows, n), dtype=np.int8)
-    areas = np.empty(samples, dtype=np.float64)
-    for start in range(0, samples, rows):
-        part = block[: samples - start]
-        for row in part:
-            u = rng.permutation(half)
-            v = rng.permutation(half)
-            row[:] = np.where(u == v, u, 2 * u)
-        areas[start : start + len(part)] = _area_z2_rows(part)
-    return _mean_report(KIND_SMEAN, n, areas, seed, c.kind)
+
+    def draw(k, rng):
+        uv = rng.permuted(np.tile(half, (2 * k, 1)), axis=1)
+        u, v = uv[0::2], uv[1::2]
+        return np.where(u == v, u, 2 * u)
+
+    return _sampled_report(KIND_SMEAN, n, samples, seed, c.kind, draw)
 
 
 # -- structural relations and asymptotic reports ------------------------------------

@@ -116,6 +116,25 @@ def test_dehn_json_schema(capsys):
     assert doc["config"]["combing"] == "staircase"
 
 
+@pytest.mark.parametrize("kind", ["osmean", "smean"])
+def test_dehn_one_sample_has_no_interval(capsys, kind):
+    # one sample has no spread: strict JSON null and empty CSV fields, never NaN
+    argv = ["dehn", "--group", "z2", "--kind", kind, "--n", "8", "--samples", "1", "--seed", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--emit", "json")
+    assert code == 0
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    value = json.loads(out, parse_constant=no_constants)["report"]["value"]
+    assert value["ci_low"] is None and value["ci_high"] is None
+    assert value["samples"] == 1 and value["estimate"] >= 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines()[2:4])))
+    assert (row["ci_low"], row["ci_high"], row["samples"]) == ("", "", "1")
+
+
 def test_dehn_sampling_requires_seed(capsys):
     code, _, err = run_cli(
         capsys, "dehn", "--group", "z2", "--kind", "osmean", "--n", "4", "--samples", "10"

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from dehnlab.counting import (
 from dehnlab.dehnstats import (
     DEFAULT_DP_BUDGET,
     SAMPLE_BLOCK_LETTERS,
+    SAMPLE_CHUNK_BLOCKS,
     DehnReport,
     _z2_level_sums,
     closed_level_stats,
@@ -485,19 +487,61 @@ def _smean_rows(n, samples, seed):
         yield np.where(u == v, u, 2 * u).tolist()
 
 
-@pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK_LETTERS // 1024 + 1])
-def test_block_scoring_matches_the_per_word_kernel(z2, st2, samples):
-    # one row and one row past a full block: the blocks score every row once;
-    # the open rows are closed by each combing's own comb_to
+def _chunk_rows(n):
+    return max(1, SAMPLE_BLOCK_LETTERS // n) * SAMPLE_CHUNK_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "n,samples",
+    [
+        pytest.param(1024, 1, id="1"),
+        pytest.param(1024, SAMPLE_BLOCK_LETTERS // 1024 + 1, id="17"),
+        (1024, _chunk_rows(1024) + 1),
+        # odd n with an odd number of rows per block: the odd letter count of
+        # a block must not end a chunk, or the chunked draw leaves one draw's stream
+        (3001, _chunk_rows(3001) + 1),
+    ],
+)
+def test_block_scoring_matches_the_per_word_kernel(z2, st2, n, samples):
+    # one row, one row past a full block and one past a full chunk: the
+    # blocks score every row once, and the chunks draw the stream of one
+    # draw of every word; the open rows are closed by each combing's comb_to
     bfs = make_combing(z2, "bfs-lex")
-    for sampler, comb, rows in [
-        (osmean_sampled, st2, _osmean_rows(z2, st2, 1024, samples, 20061)),
-        (osmean_sampled, bfs, _osmean_rows(z2, bfs, 1024, samples, 20061)),
-        (smean_sampled, st2, _smean_rows(1024, samples, 20061)),
-    ]:
+    cases = [
+        (osmean_sampled, st2, _osmean_rows(z2, st2, n, samples, 20061)),
+        (osmean_sampled, bfs, _osmean_rows(z2, bfs, n, samples, 20061)),
+    ]
+    if n % 2 == 0:
+        cases.append((smean_sampled, st2, _smean_rows(n, samples, 20061)))
+    for sampler, comb, rows in cases:
         areas = np.array([_area_z2_codes(row) for row in rows], dtype=np.float64)
         assert len(areas) == samples
-        assert sampler(z2, comb, 1024, samples, seed=20061).estimate == float(np.mean(areas))
+        assert sampler(z2, comb, n, samples, seed=20061).estimate == float(np.mean(areas))
+
+
+def test_sampled_estimates_at_benchmark_sizes_are_pinned(z2, st2):
+    # the seeded n = 1024 estimates the whole-sample draws gave before the
+    # samplers drew in chunks; a change of sampling stream must be declared
+    bfs = make_combing(z2, "bfs-lex")
+    assert osmean_sampled(z2, st2, 1024, 2000, seed=1).estimate == 412.3165
+    assert osmean_sampled(z2, bfs, 1024, 1500, seed=1).estimate == 408.0253333333333
+    assert smean_sampled(z2, st2, 1024, 1500, seed=1).estimate == 243.85466666666667
+
+
+@pytest.mark.parametrize("sampler", [osmean_sampled, smean_sampled])
+def test_sampler_memory_does_not_grow_with_the_sample_count(z2, st2, sampler):
+    # 2000 words of 512 letters are four chunks; ten times as many words
+    # must not raise the traced peak by more than their 8-byte areas
+    sampler(z2, st2, 512, 100, seed=5)  # warm-up: numpy's lazy imports and caches
+    peaks = []
+    for samples in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            sampler(z2, st2, 512, samples, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1024])
