@@ -478,13 +478,19 @@ def _osmean_rows(z2, comb, n, samples, seed):
         yield row + list(comb.comb_to(end).inverse().codes)
 
 
-def _smean_rows(n, samples, seed):
-    rng = make_rng(seed)
-    half = np.repeat(np.array([1, -1], dtype=np.int8), n // 2)
-    for _ in range(samples):
-        u = rng.permutation(half)
-        v = rng.permutation(half)
-        yield np.where(u == v, u, 2 * u).tolist()
+def _scored_rows(monkeypatch, sampler, *args, **kw):
+    """One sampler call's report, and every code row its blocks scored with its area."""
+    kernel, blocks, areas = dehnstats._area_z2_rows, [], []
+
+    def spy(codes):
+        blocks.append(np.array(codes))
+        areas.append(kernel(codes))
+        return areas[-1]
+
+    monkeypatch.setattr(dehnstats, "_area_z2_rows", spy)
+    report = sampler(*args, **kw)
+    monkeypatch.undo()
+    return report, np.concatenate(blocks), np.concatenate(areas)
 
 
 def _chunk_rows(n):
@@ -502,30 +508,62 @@ def _chunk_rows(n):
         (3001, _chunk_rows(3001) + 1),
     ],
 )
-def test_block_scoring_matches_the_per_word_kernel(z2, st2, n, samples):
+def test_block_scoring_matches_the_per_word_kernel(z2, st2, n, samples, monkeypatch):
     # one row, one row past a full block and one past a full chunk: the
     # blocks score every row once, and the chunks draw the stream of one
     # draw of every word; the open rows are closed by each combing's comb_to
     bfs = make_combing(z2, "bfs-lex")
-    cases = [
-        (osmean_sampled, st2, _osmean_rows(z2, st2, n, samples, 20061)),
-        (osmean_sampled, bfs, _osmean_rows(z2, bfs, n, samples, 20061)),
-    ]
-    if n % 2 == 0:
-        cases.append((smean_sampled, st2, _smean_rows(n, samples, 20061)))
-    for sampler, comb, rows in cases:
+    for comb in (st2, bfs):
+        rows = _osmean_rows(z2, comb, n, samples, 20061)
         areas = np.array([_area_z2_codes(row) for row in rows], dtype=np.float64)
         assert len(areas) == samples
-        assert sampler(z2, comb, n, samples, seed=20061).estimate == float(np.mean(areas))
+        assert osmean_sampled(z2, comb, n, samples, seed=20061).estimate == float(np.mean(areas))
+    if n % 2 == 0:
+        # smean's draw has no per-word replay, so score the rows it drew
+        rep, rows, scored = _scored_rows(monkeypatch, smean_sampled, z2, st2, n, samples, seed=20061)
+        areas = np.array([_area_z2_codes(row) for row in rows.tolist()], dtype=np.float64)
+        assert len(areas) == samples
+        assert (scored == areas).all()
+        assert rep.estimate == float(np.mean(areas))
+
+
+@pytest.mark.parametrize("n", [0, 2, 6, 1002, 1024])
+def test_smean_scores_closed_words_of_length_n(z2, st2, n, monkeypatch):
+    # one row past a chunk; 1002 and 6 leave a part byte of random bits
+    samples = _chunk_rows(max(n, 1)) + 1
+    _, rows, _ = _scored_rows(monkeypatch, smean_sampled, z2, st2, n, samples, seed=2024)
+    assert rows.shape == (samples, n)
+    assert np.isin(rows, [-2, -1, 1, 2]).all()
+    for a in (1, 2):
+        assert ((rows == a).sum(axis=1) == (rows == -a).sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("n,seed", [(6, 606), (8, 808)])
+def test_smean_draws_every_balanced_row_equally_often(z2, st2, n, seed, monkeypatch):
+    # a word's rows of x + y and x - y steps: each a uniform balanced row, and
+    # the pair uniform over all C(n, n/2)^2 closed words
+    from scipy.stats import chisquare
+
+    _, rows, _ = _scored_rows(monkeypatch, smean_sampled, z2, st2, n, 100_000, seed=seed)
+    weights = 1 << np.arange(n)
+    u = ((rows > 0) * weights).sum(axis=1)
+    v = (((rows == 1) | (rows == -2)) * weights).sum(axis=1)
+    patterns = math.comb(n, n // 2)
+    _, single = np.unique(np.concatenate([u, v]), return_counts=True)
+    _, pair = np.unique(u * 2**n + v, return_counts=True)
+    assert (len(single), len(pair)) == (patterns, patterns**2)
+    assert chisquare(single).pvalue > 1e-3
+    assert chisquare(pair).pvalue > 1e-3
 
 
 def test_sampled_estimates_at_benchmark_sizes_are_pinned(z2, st2):
     # the seeded n = 1024 estimates the whole-sample draws gave before the
-    # samplers drew in chunks; a change of sampling stream must be declared
+    # samplers drew in chunks (smean's since its bits-and-flips draw); a
+    # change of sampling stream must be declared
     bfs = make_combing(z2, "bfs-lex")
     assert osmean_sampled(z2, st2, 1024, 2000, seed=1).estimate == 412.3165
     assert osmean_sampled(z2, bfs, 1024, 1500, seed=1).estimate == 408.0253333333333
-    assert smean_sampled(z2, st2, 1024, 1500, seed=1).estimate == 243.85466666666667
+    assert smean_sampled(z2, st2, 1024, 1500, seed=1).estimate == 241.062
 
 
 @pytest.mark.parametrize("sampler", [osmean_sampled, smean_sampled])
@@ -574,9 +612,9 @@ def test_sampled_reports_are_deterministic(z2, st2):
     assert d.estimate == e.estimate
     # Frozen seeded values: a change of sampling stream must be declared.
     assert a.estimate == 1.361
-    assert d.estimate == 0.504
+    assert d.estimate == 0.501
     assert osmean_sampled(z2, st2, 256, 300, seed=12).estimate == 95.85333333333334
-    assert smean_sampled(z2, st2, 256, 300, seed=12).estimate == 54.026666666666664
+    assert smean_sampled(z2, st2, 256, 300, seed=12).estimate == 54.53
 
 
 def test_sampling_requires_standard_z2(z10):
