@@ -6,12 +6,13 @@ and a brute-force A* search over relator insertions that works for any
 presentation. The winding formula is treated as a derived identity; the
 oracle-agreement test suite is what certifies it.
 
-Every presentation has one certified lower bound, `_area_lower_bound`: the
-projected winding (the Z^2 kernel on each generator plane) when all relators
-are closed in Z^r, the least integral 2-chain (a DP over the columns) on
-<a, b | b^m, [a, b]>, and weighted torsion exponent sums otherwise. It steers
-the oracle, updated per move from the popped word on Z^r and on the torsion
-route, and is the lower end of every reported bracket.
+Every presentation has one certified lower bound, chosen in `_bound_scorer`
+from the relators' cyclic cores (`_relator_cores`): the projected winding
+(the Z^2 kernel on each generator plane) when all relators are closed in
+Z^r, the least integral 2-chain on <a, b | b^m, [a, b]>, and weighted torsion
+exponent sums otherwise. It steers the oracle, scored per move, and is the
+lower end of every bracket; where it meets the sort-and-cancel filling, no
+search is needed.
 """
 
 from __future__ import annotations
@@ -214,17 +215,18 @@ def _cyclic_reduce(codes):
     return codes
 
 
+def _relator_cores(p: AbelianPresentation) -> list[tuple[int, ...]]:
+    """The nontrivial relators of p, each freely and cyclically reduced."""
+    cores = (_cyclic_reduce(reduce_codes(rel.codes)) for rel in p.relators)
+    return [core for core in cores if core]
+
+
 def _relator_rotations(p: AbelianPresentation):
     """All cyclic rotations of the reduced relators and their inverses."""
     rots = set()
-    for rel in p.relators:
-        core = _cyclic_reduce(reduce_codes(rel.codes))
-        if not core:
-            continue
-        inv = tuple(-c for c in reversed(core))
-        for base in (core, inv):
-            for k in range(len(base)):
-                rots.add(base[k:] + base[:k])
+    for core in _relator_cores(p):
+        for base in (core, tuple(-c for c in reversed(core))):
+            rots.update(base[k:] + base[:k] for k in range(len(base)))
     return sorted(rots)
 
 
@@ -284,15 +286,11 @@ def _moves(codes, rots, cap):
                 yield i, t, codes[:a] + codes[b:]
 
 
-def _power_exponents(relators) -> dict[int, int]:
-    """Generator index i -> least m with a pure power relator a_i^+-m.
-
-    Each relator is freely and cyclically reduced first.
-    """
+def _power_exponents(cores) -> dict[int, int]:
+    """Generator index i -> least m with a pure power core a_i^+-m among `cores`."""
     power_of: dict[int, int] = {}
-    for rel in relators:
-        core = _cyclic_reduce(reduce_codes(rel.codes))
-        if core and len(set(core)) == 1:
+    for core in cores:
+        if len(set(core)) == 1:
             i, m = abs(core[0]), len(core)
             power_of[i] = min(power_of.get(i, m), m)
     return power_of
@@ -306,30 +304,18 @@ def _exponent_sums(codes, r: int) -> list[int]:
     return exps
 
 
-def _per_unit(mass, unit: int):
-    """x -> ceil(mass(x) / unit), and 0 when unit is 0."""
-    if unit == 0:
-        return lambda x: 0
-    if unit == 1:
-        return mass
-    return lambda x: -(-mass(x) // unit)
-
-
 def _column_shape(p: AbelianPresentation):
     """(a, b, m) when p reads <a, b | b^m, [a, b]> with m >= 2, else None.
 
-    The nontrivial cyclically reduced relators must be exactly one commutator
-    of the two generators (any rotation or inverse, as `_fill_info` reads
-    it) and one pure power b^+-m; either generator may be b.
+    The relator cores must be exactly one commutator of the two generators
+    (any rotation or inverse, as `_fill_info` reads it) and one pure power
+    b^+-m; either generator may be b.
     """
     if p.r != 2:
         return None
-    cores = [_cyclic_reduce(reduce_codes(rel.codes)) for rel in p.relators]
-    cores = [core for core in cores if core]
+    cores = _relator_cores(p)
     powers = [core for core in cores if len(set(core)) == 1]
-    if len(cores) != 2 or len(powers) != 1 or len(powers[0]) < 2:
-        return None
-    if _fill_info(p.relators, 2) is None:
+    if len(cores) != 2 or len(powers) != 1 or len(powers[0]) < 2 or _fill_info(cores, 2) is None:
         return None
     b = abs(powers[0][0])
     return 3 - b, b, len(powers[0])
@@ -419,81 +405,60 @@ def _least_chain(a: int, b: int, m: int):
     return bound
 
 
-def _exponent_bound(p: AbelianPresentation):
-    """The torsion route of `_area_lower_bound`, as a function of `_exponent_sums`.
+def _bound_scorer(p: AbelianPresentation, rots):
+    """codes -> (h, score): p's certified area lower bound of a closed word and of its moves.
 
-    None when every relator is closed in Z^r, and on <a, b | b^m, [a, b]>:
-    there the bound is the projected winding or the least chain, which
-    depend on more than the exponent sums.
-    """
-    if p.is_standard_free or _column_shape(p) is not None:
-        return None
-    power_of = _power_exponents(p.relators)
-    lcm = math.lcm(*power_of.values())
-    weights = [(i, lcm // m) for i, m in power_of.items()]
-
-    def mass(exps):
-        return sum(abs(exps[i]) * wt for i, wt in weights)
-
-    unit = max((mass(_exponent_sums(rel.codes, p.r)) for rel in p.relators), default=0)
-    return _per_unit(mass, unit)
-
-
-def _area_lower_bound(p: AbelianPresentation):
-    """The certified area lower bound of p, as a function of a closed code sequence.
-
-    On <a, b | b^m, [a, b]> (Z x Z_m, m >= 2) it is `_least_chain`. Elsewhere
-    the bound is ceil(mass / unit), with unit the largest relator mass: one
-    relator insertion moves the mass by at most that relator's own mass, so
-    the bound never exceeds the number of insertions a filling still needs.
-    When every relator is closed in Z^r (standard free-abelian presentations
-    of every rank), the mass is the projected winding: an insertion adds the
-    relator's own winding field to each plane's field, and the L1 mass obeys
-    the triangle inequality. Otherwise it is the sum of |exponent sum| over
-    the generators a_i with a pure power relator a_i^m_i (the least m_i
-    when there are several), weighted by the integers lcm / m_i.
-    """
-    r = p.r
-    bound = _exponent_bound(p)
-    if bound is not None:
-        return lambda codes: bound(_exponent_sums(codes, r))
-    shape = _column_shape(p)
-    if shape is not None:
-        return _least_chain(*shape)
-
-    def mass(codes):
-        return _projected_winding(codes, r)
-
-    unit = max((mass(reduce_codes(rel.codes)) for rel in p.relators), default=0)
-    return _per_unit(mass, unit)
-
-
-def _move_scorer(p: AbelianPresentation, rots):
-    """codes -> score(i, t, nxt): `_area_lower_bound(p)` of each `_moves` successor.
-
-    Free reduction keeps the exponent sums and the 1-cycle, so the move (i, t)
+    h is the bound of codes from scratch; score(i, t, nxt) is that of each
+    `_moves(codes, rots, cap)` successor, from the change its move makes.
+    This is the one place p's route is chosen:
+    - *chain*: `_least_chain` on <a, b | b^m, [a, b]>, rerun per successor.
+    - *planes*: when every relator is closed in Z^r, the projected winding.
+    - *torsion*: otherwise |exponent sum| over the generators a_i with a pure
+      power relator a_i^m_i (the least m_i), weighted by lcm / m_i.
+    The last two are ceil(mass / unit), unit the largest relator mass: one
+    insertion moves the mass by at most its relator's mass (on the planes it
+    adds the relator's winding field, and L1 obeys the triangle inequality),
+    so the bound never exceeds the insertions a filling still needs. Free
+    reduction keeps the exponent sums and the 1-cycle, so the move (i, t)
     adds e(rots[t]) and the plane fields of rots[t], shifted by the prefix
     point P_i, to those of codes: the mass moves by the sum of |w + d| - |w|
     over its cells (its relator's, shifted by -P_k at offset k and negated
-    for the inverse). Z x Z_m reruns the least chain on each successor.
+    for the inverse).
     """
     r = p.r
-    exp_bound = _exponent_bound(p)
-    if exp_bound is not None:
+    shape = _column_shape(p)
+    if shape is not None:
+        bound = _least_chain(*shape)
+
+        def chain(codes):
+            return bound(codes), lambda i, t, nxt: bound(nxt)
+
+        return chain
+
+    def per_unit(mass):
+        return -(-mass // unit) if unit else 0
+
+    cores = _relator_cores(p)
+    if not p.is_standard_free:
+        power_of = _power_exponents(cores)
+        lcm = math.lcm(*power_of.values())
+        weights = [(i, lcm // m) for i, m in power_of.items()]
+
+        def exponent_mass(exps):
+            return sum(abs(exps[i]) * wt for i, wt in weights)
+
+        unit = max((exponent_mass(_exponent_sums(core, r)) for core in cores), default=0)
         shifts = [tuple(_exponent_sums(rel, r)) for rel in rots]
 
         def torsion(codes):
             e = _exponent_sums(codes, r)
-            h_of = {d: exp_bound([a + b for a, b in zip(e, d)]) for d in set(shifts)}
-            return lambda i, t, nxt: h_of[shifts[t]]
+            h_of = {d: per_unit(exponent_mass([a + b for a, b in zip(e, d)])) for d in set(shifts)}
+            return per_unit(exponent_mass(e)), lambda i, t, nxt: h_of[shifts[t]]
 
         return torsion
-    if not p.is_standard_free:
-        bound = _least_chain(*_column_shape(p))
-        return lambda codes: lambda i, t, nxt: bound(nxt)
     shifted, unit = {}, 0
-    for rel in p.relators:
-        core, fields = _cyclic_reduce(reduce_codes(rel.codes)), {}
+    for core in cores:
+        fields: dict = {}
         unit = max(unit, _projected_winding(core, r, fields))
         cells = [(*ij, *uv, d) for ij, f in fields.items() for uv, d in f.items()]
         for sign, base in ((1, core), (-1, tuple(-c for c in reversed(core)))):
@@ -516,11 +481,17 @@ def _move_scorer(p: AbelianPresentation, rots):
             for a, b, du, dv, d in rot_cells[t]:
                 w = fields[a, b].get((at[a] + du, at[b] + dv), 0)
                 total += abs(w + d) - abs(w)
-            return -(-total // unit) if unit else 0
+            return per_unit(total)
 
-        return score
+        return per_unit(mass), score
 
     return planes
+
+
+def _area_lower_bound(p: AbelianPresentation):
+    """closed code sequence -> its certified area lower bound, the h of `_bound_scorer`."""
+    scorer = _bound_scorer(p, _relator_rotations(p))
+    return lambda codes: scorer(codes)[0]
 
 
 def area_oracle(
@@ -542,11 +513,12 @@ def area_oracle(
     `_moves` generates the moves: letters cancel only at the two junctions
     of the splice, so it counts the cancellations and checks the cap before
     building a word, and it skips a rotation whose word a neighbouring
-    rotation already makes at the split before. One `_move_scorer` call per
-    pop does the work the successors share, then each pushed word is scored
-    by the change its move makes, exactly `_area_lower_bound` of that word.
-    Neither changes the successor set or the heap keys (f, -g, word), which
-    are totally ordered, so the words are popped in the same order.
+    rotation already makes at the split before. `_bound_scorer` gives the
+    root its f, and one call per pop does the work the successors share;
+    then each pushed word is scored by the change its move makes, exactly
+    `_area_lower_bound` of that word. Neither changes the successor set or
+    the heap keys (f, -g, word), which are totally ordered, so the words are
+    popped in the same order.
 
     The capped search sees w only through its free reduction, and it
     respects word inversion and every flip of `_relator_flips(p)`: each maps
@@ -566,12 +538,11 @@ def area_oracle(
     rots = _relator_rotations(p)
     if not rots:
         raise ValueError("presentation has no relators to fill with")
-    maxrel = max(len(t) for t in rots)
-    cap = len(start) + (2 * maxrel if slack is None else slack)
-    scorer = _move_scorer(p, rots)
+    cap = len(start) + (2 * max(map(len, rots)) if slack is None else slack)
+    scorer = _bound_scorer(p, rots)
 
     g_of = {start: 0}
-    last_f = _area_lower_bound(p)(start)
+    last_f = scorer(start)[0]
     heap = [(last_f, 0, start)]
     expansions = 0
     while heap:
@@ -586,7 +557,7 @@ def area_oracle(
         if expansions > max_expansions:
             break
         g2 = g + 1
-        score = scorer(codes)
+        score = scorer(codes)[1]
         for i, t, nxt in _moves(codes, rots, cap):
             if g2 < g_of.get(nxt, g2 + 1):
                 g_of[nxt] = g2
@@ -602,33 +573,68 @@ def area_oracle(
     return AreaResult(lower, upper, False)
 
 
+def _exact_area(p: AbelianPresentation, max_expansions: int):
+    """codes -> exact area: winding on standard Z^2, the bracket or the oracle elsewhere.
+
+    Words with the same free reduction up to inversion and the flips of
+    `_relator_flips(p)` have the same oracle area (see `area_oracle`), so
+    the first word met in a class settles it, under a memo keyed by the
+    class's least image. Its bracket settles it when `_sort_fill_upper` <=
+    `_area_lower_bound`: the oracle's answer is at least the area, which is
+    at least the lower bound, and at most the filler's, whose path stays
+    under the search cap. Otherwise the oracle searches it at any length
+    with the expansion budget; an interval raises BudgetError.
+    """
+    if p.is_standard_z2:
+        return _area_z2_codes
+    flips = _relator_flips(p)
+    lower_bound = _area_lower_bound(p)
+    memo: dict = {}
+
+    def oracle_area(codes):
+        reduced = reduce_codes(codes)
+        key = min(
+            image
+            for signs in flips
+            for image in (
+                tuple(signs[abs(c) - 1] * c for c in reduced),
+                tuple(-signs[abs(c) - 1] * c for c in reversed(reduced)),
+            )
+        )
+        got = memo.get(key)
+        if got is None:
+            got = _sort_fill_upper(p, reduced)
+            if got is None or got > lower_bound(reduced):
+                got = area_oracle(p, Word(codes), max_expansions=max_expansions)
+                if isinstance(got, AreaResult):
+                    raise BudgetError(f"oracle could not certify an exact area for {codes}")
+            memo[key] = got
+        return got
+
+    return oracle_area
+
+
 # -- certified upper bounds ------------------------------------------------------
 
 
-def _fill_info(relators, r: int):
+def _fill_info(cores, r: int):
     """Relator shapes usable by the sort-and-cancel filler, or None.
 
-    Usable presentations have only commutator relators [a_i, a_j] (covering
-    every generator pair) and pure power relators a_i^m; the result maps each
+    Usable presentations have only commutator cores [a_i, a_j] (covering
+    every generator pair) and pure power cores a_i^m; the result maps each
     generator with a power relator to its smallest exponent.
     """
     pairs = set()
-    for rel in relators:
-        core = _cyclic_reduce(reduce_codes(rel.codes))
-        if len(set(core)) <= 1:
-            continue  # trivial or a pure power
+    for core in cores:
+        if len(set(core)) == 1:
+            continue  # a pure power
         # every rotation and inversion of a commutator reads x y x^-1 y^-1
-        if (
-            len(core) == 4
-            and core[2] == -core[0]
-            and core[3] == -core[1]
-            and abs(core[0]) != abs(core[1])
-        ):
-            pairs.add(frozenset((abs(core[0]), abs(core[1]))))
-        else:
+        x, y = core[:2]
+        if len(core) != 4 or core[2:] != (-x, -y) or abs(x) == abs(y):
             return None
+        pairs.add(frozenset((abs(x), abs(y))))
     needed = {frozenset((i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
-    return _power_exponents(relators) if needed <= pairs else None
+    return _power_exponents(cores) if needed <= pairs else None
 
 
 def _sort_fill_upper(p: AbelianPresentation, codes):
@@ -639,7 +645,7 @@ def _sort_fill_upper(p: AbelianPresentation, codes):
     the cyclic reduction: a filling of the core plus a stalk fills the word.
     Returns None when the presentation's relators do not support this filling.
     """
-    info = _fill_info(p.relators, p.r)
+    info = _fill_info(_relator_cores(p), p.r)
     if info is None:
         return None
     codes = _cyclic_reduce(reduce_codes(codes))
@@ -740,10 +746,12 @@ def area_upper_dc(
 
     Splits at the midpoint, bounds the two halves recursively, and adds the
     filling area of the geodesic triangle between the three combing words;
-    leaves are filled exactly (Z^2) or by the oracle.
+    leaves are filled exactly (Z^2) or by the oracle; leaf_size is at least 1.
     """
     if gamma.lazy:
         raise ValueError("paths are non-lazy words")
+    if leaf_size < 1:
+        raise ValueError(f"leaf_size must be at least 1, got {leaf_size}")
     z2 = p.is_standard_z2
 
     def leaf_area(codes) -> int:

@@ -21,19 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .area import (
-    DEFAULT_ORACLE_EXPANSIONS,
-    AreaResult,
-    _area_z2_codes,
-    _area_z2_rows,
-    _relator_flips,
-    area_oracle,
-)
+from .area import DEFAULT_ORACLE_EXPANSIONS, _area_z2_rows, _exact_area
 from .combing import GeodesicCombing
 from .counting import _crt, _moduli, _reduce_first, make_rng, sample_letter_matrix, slots_to_codes
 from .errors import BudgetError
 from .presentation import AbelianPresentation
-from .words import Word, check_enumeration_budget, reduce_codes, sphere_size
+from .words import check_enumeration_budget, sphere_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,41 +154,6 @@ def iter_closed_codes(p: AbelianPresentation, n: int):
     return (codes for codes, _ in _walks(p, _ball(p, n // 2), n, True))
 
 
-def _exact_area(p: AbelianPresentation, max_expansions: int):
-    """codes -> exact area: winding on standard Z^2, the oracle elsewhere.
-
-    The oracle runs once per class of words with the same free reduction up
-    to inversion and the flips of `_relator_flips(p)`, which all have the same
-    oracle area (see `area_oracle`); the class's least image keys a memo that
-    lives as long as the returned function. The expansion budget therefore
-    applies to the first word met in each class.
-    """
-    if p.is_standard_z2:
-        return _area_z2_codes
-    flips = _relator_flips(p)
-    memo: dict = {}
-
-    def oracle_area(codes):
-        reduced = reduce_codes(codes)
-        key = min(
-            image
-            for signs in flips
-            for image in (
-                tuple(signs[abs(c) - 1] * c for c in reduced),
-                tuple(-signs[abs(c) - 1] * c for c in reversed(reduced)),
-            )
-        )
-        got = memo.get(key)
-        if got is None:
-            got = area_oracle(p, Word(codes), max_expansions=max_expansions)
-            if isinstance(got, AreaResult):
-                raise BudgetError(f"oracle could not certify an exact area for {codes}")
-            memo[key] = got
-        return got
-
-    return oracle_area
-
-
 def closed_level_stats(
     p: AbelianPresentation,
     n: int,
@@ -210,10 +168,11 @@ def closed_level_stats(
     winding DP and of D(n)'s closed form. The budget counts words (see
     check_enumeration_budget); max_expansions caps each oracle search.
 
-    Off standard Z^2 the oracle fills one word per class of equal free
-    reduction up to inversion and the relator-preserving generator flips,
-    which the capped search respects (zxz2 has 924 closed words of length 6
-    in 28 classes); see `_exact_area`. Cyclic rotation is left out: it
+    Off standard Z^2 one word is filled per class of equal free reduction up
+    to inversion and the relator-preserving generator flips, which the
+    capped search respects, and a class whose bracket meets needs no search
+    (zxz2 has 924 closed words of length 6 in 28 classes, 9 of them
+    searched); see `area._exact_area`. Cyclic rotation is left out: it
     changes the free reduction that the search cap is measured from.
     """
     _check_length(n)

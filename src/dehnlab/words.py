@@ -56,7 +56,7 @@ class Word:
         for tok in text.split():
             if tok == "e":
                 codes.append(PAUSE)
-            elif tok[0] in "aA" and tok[1:].isdigit() and int(tok[1:]) >= 1:
+            elif tok[0] in "aA" and tok[1:].isascii() and tok[1:].isdigit() and int(tok[1:]) >= 1:
                 idx = int(tok[1:])
                 codes.append(idx if tok[0] == "a" else -idx)
             else:

@@ -24,11 +24,13 @@ from dehnlab.area import (
     _area_lower_bound,
     _area_z2_codes,
     _area_z2_rows,
+    _bound_scorer,
     _column_shape,
-    _exponent_bound,
     _fill_info,
+    _relator_rotations,
 )
-from dehnlab.dehnstats import iter_closed_codes
+from dehnlab.dehnstats import closed_level_stats, iter_closed_codes
+from dehnlab.errors import BudgetError
 
 from conftest import WALK_PRESENTATIONS, W
 
@@ -216,6 +218,13 @@ def test_area_upper_dc_bounds(z2, st2):
         assert area_upper_dc(z2, st2, w, leaf_size=8) >= area_exact_z2(w)
 
 
+@pytest.mark.parametrize("leaf_size", [0, -1])
+def test_area_upper_dc_needs_a_positive_leaf_size(z2, st2, leaf_size):
+    # a leaf of 0 letters would split a one-letter word into itself forever
+    with pytest.raises(ValueError, match="leaf_size"):
+        area_upper_dc(z2, st2, W("a1 a2 A1"), leaf_size=leaf_size)
+
+
 def test_area_upper_dc_geodesics(z2, st2):
     for v in [(6, 5), (-7, 2), (0, 9)]:
         g = st2.comb_to(z2.canonical_form(v))
@@ -281,14 +290,20 @@ def test_closed_area_result_long_torsion_words(zxz2):
     assert closed_area_result(zxz2, w) == AreaResult.of(3)
 
 
+def _route(p):
+    """The name of the lower-bound route `_bound_scorer` picks for p."""
+    return _bound_scorer(p, _relator_rotations(p)).__name__
+
+
 def test_column_shape_reads_z_times_z_m_only(zxz2, zxz3, z2xz, z2, z3, z10):
     assert _column_shape(zxz2) == (1, 2, 2)
     assert _column_shape(zxz3) == (1, 2, 3)
     assert _column_shape(z2xz) == (2, 1, 2)
+    assert {_route(q) for q in (zxz2, zxz3, z2xz)} == {"chain"}
     # inverted and rotated relators, and a trivial one, read the same
     p = AbelianPresentation(2, [Word((-2, -2, -2, -2)), Word((-1, 2, 1, -2)), Word((1, -1))])
     assert _column_shape(p) == (1, 2, 4)
-    assert _exponent_bound(p) is None
+    assert _route(p) == "chain"
     others = [
         z2,
         z3,
@@ -300,7 +315,7 @@ def test_column_shape_reads_z_times_z_m_only(zxz2, zxz3, z2xz, z2, z3, z10):
         AbelianPresentation(2, [Word((2,)), Word((1, 2, -1, -2))]),
     ]
     assert [_column_shape(p) for p in others] == [None] * len(others)
-    assert all(_exponent_bound(p) is not None for p in others[2:])
+    assert [_route(p) for p in others] == ["planes"] * 2 + ["torsion"] * (len(others) - 2)
 
 
 @pytest.mark.parametrize(
@@ -340,6 +355,30 @@ def test_least_chain_is_the_area_on_every_zxz2_word_of_length_6(zxz2):
         assert lower_bound(codes) == area_oracle(zxz2, Word(codes)), codes
         count += 1
     assert count == 924
+
+
+# zxz2 n = 6: 924 closed words in 28 classes, the bracket meets on 19. On
+# zxz3 n = 5 one searched class has a bracket of width 1 and area 2.
+@pytest.mark.parametrize(
+    "group, n, stats, searches", [("zxz2", 6, (924, 1008, 3), 9), ("zxz3", 5, (50, 70, 2), 2)]
+)
+def test_exact_enumeration_settles_a_class_from_its_bracket_before_searching(
+    group, n, stats, searches, request, monkeypatch
+):
+    p = request.getfixturevalue(group)
+    searched = []
+    oracle = area_module.area_oracle
+
+    def spy(p, w, **kw):
+        searched.append(w.codes)
+        return oracle(p, w, **kw)
+
+    monkeypatch.setattr(area_module, "area_oracle", spy)
+    assert closed_level_stats(p, n) == stats
+    assert len(searched) == searches
+    # a searched class still needs its exact area
+    with pytest.raises(BudgetError):
+        closed_level_stats(p, n, max_expansions=0)
 
 
 def test_sandwich_on_z3(z3):
@@ -406,14 +445,14 @@ def test_oracle_expansion_thresholds(group, codes, budget, area, request):
     ],
 )
 def test_fill_info_accepts_commutator_rotations(core):
-    assert _fill_info((Word(core),), 2) == {}
+    assert _fill_info([core], 2) == {}
 
 
 @pytest.mark.parametrize(
     "core", [(1, 2, 1, -2), (1, 2, -1, 2), (1, 1, -2, -2), (1, -2, 1, 2), (2, 2, 2, -1)]
 )
 def test_fill_info_rejects_other_four_letter_relators(core):
-    assert _fill_info((Word(core),), 2) is None
+    assert _fill_info([core], 2) is None
 
 
 def test_area_result_validation():

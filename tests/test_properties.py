@@ -26,11 +26,12 @@ from dehnlab.area import (
     _area_lower_bound,
     _area_z2_codes,
     _area_z2_rows,
+    _bound_scorer,
     _column_shape,
-    _move_scorer,
     _moves,
     _relator_flips,
     _relator_rotations,
+    _sort_fill_upper,
 )
 from dehnlab.dehnstats import closed_level_stats, level_sums
 from dehnlab.presentation import free_abelian, load_presentation_text, smith_normal_form
@@ -230,7 +231,13 @@ SCORED_GROUPS = {
         "relator a1 a1 a2 a2 A1 A1 A2 A2\n"
     ),
     "zxz2": ZXZ2,
+    # the torsion route: a1a1a2 has no pure power, so its mass is always 0;
+    # z10 and Z_2 x Z_3 weigh their exponent sums by lcm / m_i
     "a1a1a2,[a1,a2]": MOVE_GROUPS["a1a1a2,[a1,a2]"],
+    "z10": builtin_presentation("z10"),
+    "z2xz3": load_presentation_text(
+        "generators 2\nrelator a1 a1\nrelator a2 a2 a2\nrelator a1 a2 A1 A2\n"
+    ),
 }
 
 
@@ -253,7 +260,7 @@ def test_oracle_scores_each_move_as_the_lower_bound_of_its_word(case):
     rots = _relator_rotations(p)
     start = reduce_codes(codes)
     cap = len(start) + 2 * max(map(len, rots))
-    score = _move_scorer(p, rots)(start)
+    _, score = _bound_scorer(p, rots)(start)
     assert all(score(i, t, word) == bound(word) for i, t, word in _moves(start, rots, cap))
 
 
@@ -369,6 +376,30 @@ def test_least_chain_is_consistent_across_moves(case):
     assert h == bound(codes)
     cap = len(start) + 2 * max(map(len, rots))
     assert all(abs(bound(word) - h) <= 1 for _, _, word in _moves(start, rots, cap))
+
+
+BRACKET_GROUPS = {"z3": Z3, **CHAIN_GROUPS}
+
+
+@st.composite
+def bracketed_words(draw):
+    """(group name, a closed word) on z3 or one of CHAIN_GROUPS, at most 8 letters."""
+    if draw(st.booleans()):
+        return "z3", draw(closed_words(3, max_size=4))
+    return draw(torsion_closed_words())
+
+
+@given(bracketed_words())
+def test_oracle_returns_the_bracket_where_it_meets(case):
+    # exact enumeration settles a class without a search exactly when this holds
+    name, codes = case
+    p = BRACKET_GROUPS[name]
+    reduced = reduce_codes(codes)
+    lower, upper = _area_lower_bound(p)(reduced), _sort_fill_upper(p, reduced)
+    area = area_oracle(p, Word(codes))
+    assert lower <= area <= upper
+    if upper <= lower:
+        assert area == upper
 
 
 @st.composite

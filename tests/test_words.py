@@ -99,6 +99,13 @@ def test_word_tokens_roundtrip():
         Word((1, 0, 2))  # pause in a non-lazy word
 
 
+@pytest.mark.parametrize("tok", ["a\u0661", "a\u00b2", "A\u0661"])
+def test_word_tokens_take_ascii_digits_only(tok):
+    # str.isdigit accepts both: int() reads U+0661 (Arabic-Indic one) as 1 and rejects U+00B2
+    with pytest.raises(ValueError, match="bad word token"):
+        Word.from_tokens(tok)
+
+
 def test_word_algebra():
     w = W("a1 a2")
     assert (w * w.inverse()).codes == (1, 2, -2, -1)
