@@ -11,8 +11,8 @@ from the relators' cyclic cores (`_relator_cores`): the projected winding
 (the Z^2 kernel on each generator plane) when all relators are closed in
 Z^r, the least integral 2-chain on <a, b | b^m, [a, b]>, and weighted torsion
 exponent sums otherwise. It steers the oracle, scored per move, and is the
-lower end of every bracket; where it meets the sort-and-cancel filling, no
-search is needed.
+lower end of every bracket, which `area_oracle` alone checks: where the root
+word's bound meets its sort-and-cancel filling, no search is needed.
 """
 
 from __future__ import annotations
@@ -489,7 +489,7 @@ def _bound_scorer(p: AbelianPresentation, rots):
 
 
 def _area_lower_bound(p: AbelianPresentation):
-    """closed code sequence -> its certified area lower bound, the h of `_bound_scorer`."""
+    """closed codes -> the certified lower bound h of `_bound_scorer`; the tests' reference."""
     scorer = _bound_scorer(p, _relator_rotations(p))
     return lambda codes: scorer(codes)[0]
 
@@ -507,8 +507,13 @@ def area_oracle(
     relator (or inverse) into any split position and reduces. Intermediate
     words longer than len(w reduced) + slack are pruned, so minimal fillings
     through longer intermediates would be missed; the exhaustive agreement
-    suite bounds that risk empirically. On budget exhaustion a certified
-    AreaResult interval is returned instead of an int.
+    suite bounds that risk empirically. When the root's filling
+    (`_sort_fill_upper`) is at most its bound h, it is the area, returned
+    before the first expansion: the search costs at least the area, and at
+    most the filling, whose path never grows the word. On budget exhaustion
+    the certified AreaResult interval [last popped f, filling] is returned
+    instead of an int (a zero budget gives the root bracket), or BudgetError
+    is raised when the filler does not apply.
 
     `_moves` generates the moves: letters cancel only at the two junctions
     of the splice, so it counts the cancellations and checks the cap before
@@ -540,9 +545,12 @@ def area_oracle(
         raise ValueError("presentation has no relators to fill with")
     cap = len(start) + (2 * max(map(len, rots)) if slack is None else slack)
     scorer = _bound_scorer(p, rots)
+    last_f = scorer(start)[0]
+    upper = _sort_fill_upper(p, start)
+    if upper is not None and upper <= last_f:
+        return upper
 
     g_of = {start: 0}
-    last_f = scorer(start)[0]
     heap = [(last_f, 0, start)]
     expansions = 0
     while heap:
@@ -564,31 +572,26 @@ def area_oracle(
                 heapq.heappush(heap, (g2 + score(i, t, nxt), -g2, nxt))
 
     # Not solved: popped f values are non-decreasing lower bounds on the area.
-    lower = last_f
-    upper = _sort_fill_upper(p, start)
     if upper is None:
         raise BudgetError("oracle budget exhausted and no certified upper bound applies")
-    if upper <= lower:
+    if upper <= last_f:
         return upper
-    return AreaResult(lower, upper, False)
+    return AreaResult(last_f, upper, False)
 
 
 def _exact_area(p: AbelianPresentation, max_expansions: int):
-    """codes -> exact area: winding on standard Z^2, the bracket or the oracle elsewhere.
+    """codes -> exact area: winding on standard Z^2, the oracle elsewhere.
 
     Words with the same free reduction up to inversion and the flips of
     `_relator_flips(p)` have the same oracle area (see `area_oracle`), so
     the first word met in a class settles it, under a memo keyed by the
-    class's least image. Its bracket settles it when `_sort_fill_upper` <=
-    `_area_lower_bound`: the oracle's answer is at least the area, which is
-    at least the lower bound, and at most the filler's, whose path stays
-    under the search cap. Otherwise the oracle searches it at any length
-    with the expansion budget; an interval raises BudgetError.
+    class's least image. One `area_oracle` call settles the class at any
+    length with the expansion budget: from the root bracket when its two
+    ends meet, by the search otherwise. An interval raises BudgetError.
     """
     if p.is_standard_z2:
         return _area_z2_codes
     flips = _relator_flips(p)
-    lower_bound = _area_lower_bound(p)
     memo: dict = {}
 
     def oracle_area(codes):
@@ -603,11 +606,9 @@ def _exact_area(p: AbelianPresentation, max_expansions: int):
         )
         got = memo.get(key)
         if got is None:
-            got = _sort_fill_upper(p, reduced)
-            if got is None or got > lower_bound(reduced):
-                got = area_oracle(p, Word(codes), max_expansions=max_expansions)
-                if isinstance(got, AreaResult):
-                    raise BudgetError(f"oracle could not certify an exact area for {codes}")
+            got = area_oracle(p, Word(codes), max_expansions=max_expansions)
+            if isinstance(got, AreaResult):
+                raise BudgetError(f"oracle could not certify an exact area for {codes}")
             memo[key] = got
         return got
 
@@ -621,20 +622,25 @@ def _fill_info(cores, r: int):
     """Relator shapes usable by the sort-and-cancel filler, or None.
 
     Usable presentations have only commutator cores [a_i, a_j] (covering
-    every generator pair) and pure power cores a_i^m; the result maps each
-    generator with a power relator to its smallest exponent.
+    every generator pair) and pure power cores a_i^m, each generator's least
+    power dividing its others, so that blocks of it fill every trivial word
+    (a1^4 and a1^6 make a1^2 trivial); the result maps each generator with a
+    power relator to that least exponent.
     """
+    powers = _power_exponents(cores)
     pairs = set()
     for core in cores:
         if len(set(core)) == 1:
-            continue  # a pure power
+            if len(core) % powers[abs(core[0])]:
+                return None
+            continue
         # every rotation and inversion of a commutator reads x y x^-1 y^-1
         x, y = core[:2]
         if len(core) != 4 or core[2:] != (-x, -y) or abs(x) == abs(y):
             return None
         pairs.add(frozenset((abs(x), abs(y))))
     needed = {frozenset((i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
-    return _power_exponents(cores) if needed <= pairs else None
+    return powers if needed <= pairs else None
 
 
 def _sort_fill_upper(p: AbelianPresentation, codes):
@@ -678,29 +684,20 @@ def closed_area_result(
 ) -> AreaResult:
     """Best available certified area of a closed word for any presentation.
 
-    Standard Z^2 is exact by winding. Elsewhere the bracket runs from
-    `_area_lower_bound` to the sort-and-cancel filling, and is exact without
-    a search when the two meet. Otherwise the oracle fills the word when it
-    is at most ORACLE_CUTOFF letters long reduced, or when the filler does
-    not apply; slack and max_expansions go to it. The filling never grows
-    the word, so it stays under the oracle's length cap, and the oracle's
-    answer lies between the two bounds.
+    Standard Z^2 is exact by winding. Elsewhere `area_oracle` fills it with
+    slack and max_expansions, from the root bracket where that meets; past
+    ORACLE_CUTOFF letters reduced, on a presentation the filler applies to,
+    it gets zero expansions, so a wider root bracket is the result.
     """
+    if w.lazy:
+        raise ValueError("paths are non-lazy words")
     if p.is_standard_z2:
         return AreaResult.of(_area_z2_codes(w.codes))
-    if not p.is_identity(w):
-        raise ValueError("area is defined for words mapping to 1 in the group")
-    reduced = reduce_codes(w.codes)
-    if not reduced:
-        return AreaResult.of(0)
-    lower = _area_lower_bound(p)(reduced)
-    upper = _sort_fill_upper(p, reduced)
-    if upper is not None and upper <= lower:
-        return AreaResult.of(upper)
-    if upper is None or len(reduced) <= ORACLE_CUTOFF:
-        got = area_oracle(p, w, slack=slack, max_expansions=max_expansions)
-        return AreaResult.of(got) if isinstance(got, int) else got
-    return AreaResult(lower, upper, False)
+    fills = _fill_info(_relator_cores(p), p.r) is not None
+    if fills and len(reduce_codes(w.codes)) > ORACLE_CUTOFF:
+        max_expansions = 0
+    got = area_oracle(p, w, slack=slack, max_expansions=max_expansions)
+    return AreaResult.of(got) if isinstance(got, int) else got
 
 
 def area_open(

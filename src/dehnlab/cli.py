@@ -144,7 +144,7 @@ def cmd_dehn(args) -> int:
             raise ValueError("--samples must be positive")
         if args.seed is None:
             raise ValueError("--seed is required whenever sampling is requested")
-        _require_sampling_support(p, args.samples)  # before a combing can refuse p
+        _require_sampling_support(p, args.n, args.samples)  # before a combing can refuse p
         sampler = {"smean": smean_sampled, "osmean": osmean_sampled}.get(args.kind)
         if sampler is None:
             raise ValueError(f"{args.kind} is exact-only; sample smean or osmean instead")

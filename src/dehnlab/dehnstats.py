@@ -170,10 +170,11 @@ def closed_level_stats(
 
     Off standard Z^2 one word is filled per class of equal free reduction up
     to inversion and the relator-preserving generator flips, which the
-    capped search respects, and a class whose bracket meets needs no search
-    (zxz2 has 924 closed words of length 6 in 28 classes, 9 of them
-    searched); see `area._exact_area`. Cyclic rotation is left out: it
-    changes the free reduction that the search cap is measured from.
+    capped search respects, by one `area_oracle` call, which expands none
+    where the root bracket meets (zxz2 has 924 closed words of length 6 in
+    28 classes, 9 of them searched); see `area._exact_area`. Cyclic rotation
+    is left out: it changes the free reduction that the search cap is
+    measured from.
     """
     _check_length(n)
     check_enumeration_budget(p.r, n, budget)
@@ -486,7 +487,8 @@ def osmean_by_endpoint(
 # -- sampling ---------------------------------------------------------------------
 
 
-def _require_sampling_support(p: AbelianPresentation, samples: int) -> None:
+def _require_sampling_support(p: AbelianPresentation, n: int, samples: int) -> None:
+    _check_length(n)
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     if not p.is_standard_z2:
@@ -535,7 +537,7 @@ def osmean_sampled(
     each block to its longest closing word.
     """
     import numpy as np
-    _require_sampling_support(p, samples)
+    _require_sampling_support(p, n, samples)
 
     def draw(k, rng):
         return slots_to_codes(sample_letter_matrix(2, n, k, rng))
@@ -574,7 +576,7 @@ def smean_sampled(
     on the chunk size.
     """
     import numpy as np
-    _require_sampling_support(p, samples)
+    _require_sampling_support(p, n, samples)
     if n % 2:
         return DehnReport(n=n, kind=KIND_SMEAN, value=Fraction(0), combing=c.kind)
     earlier = np.tri(SMEAN_FLIP_CANDIDATES, k=-1, dtype=bool)

@@ -21,16 +21,19 @@ from dehnlab import (
     winding_field,
 )
 from dehnlab.area import (
+    ORACLE_CUTOFF,
     _area_lower_bound,
     _area_z2_codes,
     _area_z2_rows,
     _bound_scorer,
     _column_shape,
     _fill_info,
+    _relator_cores,
     _relator_rotations,
 )
 from dehnlab.dehnstats import closed_level_stats, iter_closed_codes
 from dehnlab.errors import BudgetError
+from dehnlab.words import reduce_codes
 
 from conftest import WALK_PRESENTATIONS, W
 
@@ -366,19 +369,64 @@ def test_exact_enumeration_settles_a_class_from_its_bracket_before_searching(
     group, n, stats, searches, request, monkeypatch
 ):
     p = request.getfixturevalue(group)
-    searched = []
-    oracle = area_module.area_oracle
+    expansions = []  # per area_oracle call, its _moves calls
+    oracle, moves = area_module.area_oracle, area_module._moves
 
-    def spy(p, w, **kw):
-        searched.append(w.codes)
+    def spy_oracle(p, w, **kw):
+        expansions.append(0)
         return oracle(p, w, **kw)
 
-    monkeypatch.setattr(area_module, "area_oracle", spy)
+    def spy_moves(*args):
+        expansions[-1] += 1
+        return moves(*args)
+
+    monkeypatch.setattr(area_module, "area_oracle", spy_oracle)
+    monkeypatch.setattr(area_module, "_moves", spy_moves)
     assert closed_level_stats(p, n) == stats
-    assert len(searched) == searches
+    assert sum(1 for k in expansions if k) == searches
     # a searched class still needs its exact area
     with pytest.raises(BudgetError):
         closed_level_stats(p, n, max_expansions=0)
+
+
+def _no_moves(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle expanded a word")
+
+    monkeypatch.setattr(area_module, "_moves", refuse)
+
+
+def test_oracle_settles_a_word_from_its_root_bracket(zxz2, monkeypatch):
+    _no_moves(monkeypatch)
+    assert area_oracle(zxz2, Word((2,) * 18)) == 9
+    assert area_oracle(zxz2, Word((1,) * 9 + (2, 2) + (-1,) * 9)) == 1
+
+
+def test_closed_area_result_past_the_cutoff_is_the_root_bracket(zxz2, monkeypatch):
+    _no_moves(monkeypatch)
+    w = W("A2 A2 A1 A2 A1 A2 a1 A2 A1 A2 A2 a1 a1 A1 a2 a1 a2 a2 a2 a2")
+    assert len(reduce_codes(w.codes)) == 18 > ORACLE_CUTOFF
+    assert closed_area_result(zxz2, w) == AreaResult(4, 18, False)
+
+
+@pytest.mark.parametrize("group", ["z2", "zxz2"])
+def test_closed_area_result_rejects_lazy_words(group, request):
+    p = request.getfixturevalue(group)
+    for w in (Word((1, 2, -1, -2), lazy=True), W("a1 e a2 A1 A2")):
+        with pytest.raises(ValueError, match="paths are non-lazy words"):
+            closed_area_result(p, w)
+
+
+def test_filler_needs_each_least_power_to_divide_the_others():
+    # a1^4 and a1^6 make a1^2 trivial, which no block of a1^4 cancels
+    p = AbelianPresentation(2, [Word((1,) * 4), Word((1,) * 6), W("a1 a2 A1 A2")])
+    assert _fill_info(_relator_cores(p), 2) is None
+    assert area_oracle(p, W("a1 a1")) == 2
+    assert closed_area_result(p, W("a1 a1")) == AreaResult.of(2)
+    # past ORACLE_CUTOFF the word is still searched, not bracketed
+    assert closed_area_result(p, Word((2,) + (1,) * 18 + (-2,))) == AreaResult.of(3)
+    q = AbelianPresentation(2, [Word((1,) * 4), Word((1,) * 8), W("a1 a2 A1 A2")])
+    assert _fill_info(_relator_cores(q), 2) == {1: 4}
 
 
 def test_sandwich_on_z3(z3):

@@ -466,6 +466,14 @@ def test_samplers_reject_nonpositive_sample_counts(z2, st2, sampler, samples):
         sampler(z2, st2, 5, samples, seed=1)
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("sampler", [osmean_sampled, smean_sampled])
+def test_samplers_reject_a_negative_length(z2, st2, sampler, n):
+    # n = -1 is odd, so smean's exact zero must not hide it either
+    with pytest.raises(ValueError, match="word length must be non-negative"):
+        sampler(z2, st2, n, 10, seed=1)
+
+
 def test_smean_sampled_odd_is_exact_zero(z2, st2):
     rep = smean_sampled(z2, st2, 5, 100, seed=1)
     assert rep.value == 0
