@@ -11,8 +11,12 @@ from the relators' cyclic cores (`_relator_cores`): the projected winding
 (the Z^2 kernel on each generator plane) when all relators are closed in
 Z^r, the least integral 2-chain on <a, b | b^m, [a, b]>, and weighted torsion
 exponent sums otherwise. It steers the oracle, scored per move, and is the
-lower end of every bracket, which `area_oracle` alone checks: where the root
-word's bound meets its sort-and-cancel filling, no search is needed.
+lower end of every bracket, which the oracle's search alone checks: where the
+root word's bound meets its sort-and-cancel filling, no search is needed.
+
+`_oracle` builds the search's set-up (rotations, scorer, cap growth) once per
+presentation. `area_oracle` builds it per word; exact enumeration
+(`_exact_area`) and `area_upper_dc` build it once and search many words.
 """
 
 from __future__ import annotations
@@ -494,6 +498,79 @@ def _area_lower_bound(p: AbelianPresentation):
     return lambda codes: scorer(codes)[0]
 
 
+def _oracle(p: AbelianPresentation, slack: int | None = None):
+    """p's A* set-up: search(codes, max_expansions) -> exact area of freely reduced closed codes.
+
+    The relator rotations, the `_bound_scorer` and the cap's growth over the
+    root's length (slack, or twice the longest relator) are fixed once here
+    and shared by every search. States are freely reduced words; one move
+    splices a cyclic rotation of a relator (or inverse) into any split
+    position and reduces. Intermediate words longer than the root plus the
+    growth are pruned, so minimal fillings through longer intermediates would
+    be missed; the exhaustive agreement suite bounds that risk empirically.
+    When the root's filling (`_sort_fill_upper`) is at most its bound h, it
+    is the area, returned before the first expansion: the search costs at
+    least the area, and at most the filling, whose path never grows the
+    word. On budget exhaustion the certified AreaResult interval [last popped
+    f, filling] is returned instead of an int (a zero budget gives the root
+    bracket), or BudgetError is raised when the filler does not apply.
+
+    `_moves` generates the moves: letters cancel only at the two junctions
+    of the splice, so it counts the cancellations and checks the cap before
+    building a word, and it skips a rotation whose word a neighbouring
+    rotation already makes at the split before. The scorer gives the root
+    its f, and one call per pop does the work the successors share; then
+    each pushed word is scored by the change its move makes, exactly
+    `_area_lower_bound` of that word. Neither changes the successor set or
+    the heap keys (f, -g, word), which are totally ordered, so the words are
+    popped in the same order.
+    """
+    rots = _relator_rotations(p)
+    grow = 2 * max(map(len, rots), default=0) if slack is None else slack
+    scorer = _bound_scorer(p, rots)
+
+    def search(start, max_expansions: int):
+        if not start:
+            return 0
+        if not rots:
+            raise ValueError("presentation has no relators to fill with")
+        cap = len(start) + grow
+        last_f = scorer(start)[0]
+        upper = _sort_fill_upper(p, start)
+        if upper is not None and upper <= last_f:
+            return upper
+
+        g_of = {start: 0}
+        heap = [(last_f, 0, start)]
+        expansions = 0
+        while heap:
+            f, negg, codes = heapq.heappop(heap)
+            g = -negg
+            if g > g_of.get(codes, g):
+                continue
+            if not codes:
+                return g
+            last_f = f
+            expansions += 1
+            if expansions > max_expansions:
+                break
+            g2 = g + 1
+            score = scorer(codes)[1]
+            for i, t, nxt in _moves(codes, rots, cap):
+                if g2 < g_of.get(nxt, g2 + 1):
+                    g_of[nxt] = g2
+                    heapq.heappush(heap, (g2 + score(i, t, nxt), -g2, nxt))
+
+        # Not solved: popped f values are non-decreasing lower bounds on the area.
+        if upper is None:
+            raise BudgetError("oracle budget exhausted and no certified upper bound applies")
+        if upper <= last_f:
+            return upper
+        return AreaResult(last_f, upper, False)
+
+    return search
+
+
 def area_oracle(
     p: AbelianPresentation,
     w: Word,
@@ -503,27 +580,9 @@ def area_oracle(
 ):
     """Exact area of a trivial word by A* search over relator insertions.
 
-    States are freely reduced words; one move splices a cyclic rotation of a
-    relator (or inverse) into any split position and reduces. Intermediate
-    words longer than len(w reduced) + slack are pruned, so minimal fillings
-    through longer intermediates would be missed; the exhaustive agreement
-    suite bounds that risk empirically. When the root's filling
-    (`_sort_fill_upper`) is at most its bound h, it is the area, returned
-    before the first expansion: the search costs at least the area, and at
-    most the filling, whose path never grows the word. On budget exhaustion
-    the certified AreaResult interval [last popped f, filling] is returned
-    instead of an int (a zero budget gives the root bracket), or BudgetError
-    is raised when the filler does not apply.
-
-    `_moves` generates the moves: letters cancel only at the two junctions
-    of the splice, so it counts the cancellations and checks the cap before
-    building a word, and it skips a rotation whose word a neighbouring
-    rotation already makes at the split before. `_bound_scorer` gives the
-    root its f, and one call per pop does the work the successors share;
-    then each pushed word is scored by the change its move makes, exactly
-    `_area_lower_bound` of that word. Neither changes the successor set or
-    the heap keys (f, -g, word), which are totally ordered, so the words are
-    popped in the same order.
+    Checks that w is a non-lazy word trivial in the group, then runs one
+    `_oracle(p, slack)` search from its free reduction with max_expansions:
+    an int, or the certified AreaResult bracket when the budget runs out.
 
     The capped search sees w only through its free reduction, and it
     respects word inversion and every flip of `_relator_flips(p)`: each maps
@@ -537,46 +596,7 @@ def area_oracle(
         raise ValueError("paths are non-lazy words")
     if not p.is_identity(w):
         raise ValueError("area is defined for words mapping to 1 in the group")
-    start = reduce_codes(w.codes)
-    if not start:
-        return 0
-    rots = _relator_rotations(p)
-    if not rots:
-        raise ValueError("presentation has no relators to fill with")
-    cap = len(start) + (2 * max(map(len, rots)) if slack is None else slack)
-    scorer = _bound_scorer(p, rots)
-    last_f = scorer(start)[0]
-    upper = _sort_fill_upper(p, start)
-    if upper is not None and upper <= last_f:
-        return upper
-
-    g_of = {start: 0}
-    heap = [(last_f, 0, start)]
-    expansions = 0
-    while heap:
-        f, negg, codes = heapq.heappop(heap)
-        g = -negg
-        if g > g_of.get(codes, g):
-            continue
-        if not codes:
-            return g
-        last_f = f
-        expansions += 1
-        if expansions > max_expansions:
-            break
-        g2 = g + 1
-        score = scorer(codes)[1]
-        for i, t, nxt in _moves(codes, rots, cap):
-            if g2 < g_of.get(nxt, g2 + 1):
-                g_of[nxt] = g2
-                heapq.heappush(heap, (g2 + score(i, t, nxt), -g2, nxt))
-
-    # Not solved: popped f values are non-decreasing lower bounds on the area.
-    if upper is None:
-        raise BudgetError("oracle budget exhausted and no certified upper bound applies")
-    if upper <= last_f:
-        return upper
-    return AreaResult(last_f, upper, False)
+    return _oracle(p, slack)(reduce_codes(w.codes), max_expansions)
 
 
 def _exact_area(p: AbelianPresentation, max_expansions: int):
@@ -585,13 +605,15 @@ def _exact_area(p: AbelianPresentation, max_expansions: int):
     Words with the same free reduction up to inversion and the flips of
     `_relator_flips(p)` have the same oracle area (see `area_oracle`), so
     the first word met in a class settles it, under a memo keyed by the
-    class's least image. One `area_oracle` call settles the class at any
-    length with the expansion budget: from the root bracket when its two
-    ends meet, by the search otherwise. An interval raises BudgetError.
+    class's least image. The `_oracle` set-up is built once, and one search
+    with the expansion budget settles a class at any length: from the root
+    bracket when its two ends meet, by the search otherwise. An interval
+    raises BudgetError.
     """
     if p.is_standard_z2:
         return _area_z2_codes
     flips = _relator_flips(p)
+    search = _oracle(p)
     memo: dict = {}
 
     def oracle_area(codes):
@@ -606,7 +628,7 @@ def _exact_area(p: AbelianPresentation, max_expansions: int):
         )
         got = memo.get(key)
         if got is None:
-            got = area_oracle(p, Word(codes), max_expansions=max_expansions)
+            got = search(reduced, max_expansions)
             if isinstance(got, AreaResult):
                 raise BudgetError(f"oracle could not certify an exact area for {codes}")
             memo[key] = got
@@ -700,81 +722,54 @@ def closed_area_result(
     return AreaResult.of(got) if isinstance(got, int) else got
 
 
-def area_open(
-    p: AbelianPresentation,
-    c: GeodesicCombing,
-    gamma: Word,
-    *,
-    slack: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
-) -> AreaResult:
+def area_open(p: AbelianPresentation, c: GeodesicCombing, gamma: Word) -> AreaResult:
     """Area of an arbitrary path: close it through the combing, then fill."""
-    closed = close_path(c, gamma)
-    return closed_area_result(p, closed, slack=slack, max_expansions=max_expansions)
+    return closed_area_result(p, close_path(c, gamma))
 
 
 def area_closed_at(
-    p: AbelianPresentation,
-    c: GeodesicCombing,
-    gamma: Word,
-    u: CanonicalForm,
-    *,
-    slack: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
+    p: AbelianPresentation, c: GeodesicCombing, gamma: Word, u: CanonicalForm
 ) -> AreaResult:
     """Area of a loop based at u, via conjugation with the combing word to u."""
     if p.canonical_of_word(gamma) != p.identity():
         raise ValueError("path is not closed at its basepoint")
     t = c.comb_to(u)
-    loop = t * gamma * t.inverse()
-    return closed_area_result(p, loop, slack=slack, max_expansions=max_expansions)
+    return closed_area_result(p, t * gamma * t.inverse())
 
 
 def area_upper_dc(
-    p: AbelianPresentation,
-    c: GeodesicCombing,
-    gamma: Word,
-    leaf_size: int = 8,
-    *,
-    slack: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
+    p: AbelianPresentation, c: GeodesicCombing, gamma: Word, leaf_size: int = 8
 ) -> int:
     """Certified upper bound on the open area by recursive half splitting.
 
     Splits at the midpoint, bounds the two halves recursively, and adds the
     filling area of the geodesic triangle between the three combing words;
-    leaves are filled exactly (Z^2) or by the oracle; leaf_size is at least 1.
+    leaves are filled exactly (Z^2) or by the oracle, whose set-up is built
+    once per call; triangles take the sort-and-cancel filling where it
+    applies off Z^2. leaf_size is at least 1.
     """
     if gamma.lazy:
         raise ValueError("paths are non-lazy words")
     if leaf_size < 1:
         raise ValueError(f"leaf_size must be at least 1, got {leaf_size}")
     z2 = p.is_standard_z2
+    search = None if z2 else _oracle(p)
 
-    def leaf_area(codes) -> int:
-        closed = close_path(c, Word(codes))
+    def fill(codes) -> int:
         if z2:
-            return _area_z2_codes(closed.codes)
-        got = area_oracle(p, closed, slack=slack, max_expansions=max_expansions)
-        return got if isinstance(got, int) else got.upper
-
-    def triangle_area(u: CanonicalForm, v: CanonicalForm) -> int:
-        tri = c.comb_to(u) * comb_between(c, u, v) * c.comb_to(v).inverse()
-        if z2:
-            return _area_z2_codes(tri.codes)
-        bound = _sort_fill_upper(p, tri.codes)
-        if bound is not None:
-            return bound
-        got = area_oracle(p, tri, slack=slack, max_expansions=max_expansions)
+            return _area_z2_codes(codes)
+        got = search(reduce_codes(codes), DEFAULT_ORACLE_EXPANSIONS)
         return got if isinstance(got, int) else got.upper
 
     def rec(codes) -> int:
         if len(codes) <= leaf_size:
-            return leaf_area(codes)
+            return fill(close_path(c, Word(codes)).codes)
         mid = len(codes) // 2
         g1, g2 = codes[:mid], codes[mid:]
         u = p.canonical_form(abelianize(Word(g1), p.r))
         v = p.canonical_form(abelianize(Word(codes), p.r))
-        return rec(g1) + rec(g2) + triangle_area(u, v)
+        tri = c.comb_to(u) * comb_between(c, u, v) * c.comb_to(v).inverse()
+        bound = None if z2 else _sort_fill_upper(p, tri.codes)
+        return rec(g1) + rec(g2) + (fill(tri.codes) if bound is None else bound)
 
     return rec(tuple(gamma.codes))

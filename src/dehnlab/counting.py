@@ -21,9 +21,10 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
+from .cogrowth import g_even_z2
 from .errors import BudgetError
 from .presentation import AbelianPresentation, CanonicalForm
-from .words import Word
+from .words import Word, _check_length
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,6 +107,7 @@ class CountTable:
 def _dense_counts(
     p: AbelianPresentation, n: int, max_states: int, backtracking_allowed: bool
 ) -> CountTable:
+    _check_length(n)
     import numpy as np
     images = [p.generator_image(c) for c in p.generator_codes]
     reach = [n * max(abs(g.free_part[i]) for g in images) for i in range(p.free_rank)]
@@ -178,9 +180,8 @@ def nonbacktracking_counts(
 
 def closed_walk_closed_form_z2(n: int) -> int:
     """Closed Z^2 walks of length n: C(n, n/2)^2 for even n, zero for odd n."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    return 0 if n % 2 else math.comb(n, n // 2) ** 2
+    _check_length(n)
+    return 0 if n % 2 else g_even_z2(n // 2)
 
 
 def kolmogorov_bound(t: float, eps: float, d: float, s_n: float) -> float:
@@ -284,7 +285,7 @@ def tail_report_exact_1d(n: int, c: float) -> TailReport:
 
 
 def tail_fraction_exact_1d_holds(n: int, c: float) -> bool:
-    """Exact-rational comparison count/2^n <= 2.7 / n^(c-1/2).
+    """Exact-rational comparison count/2^n <= 2 TAIL_K_1D / n^(c-1/2), the bound of tail_bound_1d.
 
     For 2c integral the comparison squares both sides to stay in Q; other
     exponents fall back to a float comparison.
@@ -293,7 +294,7 @@ def tail_fraction_exact_1d_holds(n: int, c: float) -> bool:
     two_c = 2 * c
     if two_c == int(two_c):
         # frac <= K / n^(c - 1/2)  <=>  frac^2 * n^(2c - 1) <= K^2
-        k = Fraction(27, 10)
+        k = 2 * Fraction(str(TAIL_K_1D))  # the decimal the constant is written as
         return frac * frac * Fraction(n) ** (int(two_c) - 1) <= k * k
     return float(frac) <= tail_bound_1d(n, c)
 

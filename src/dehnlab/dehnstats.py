@@ -22,11 +22,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .area import DEFAULT_ORACLE_EXPANSIONS, _area_z2_rows, _exact_area
+from .cogrowth import g_even_z2
 from .combing import GeodesicCombing
 from .counting import _crt, _moduli, _reduce_first, make_rng, sample_letter_matrix, slots_to_codes
 from .errors import BudgetError
 from .presentation import AbelianPresentation
-from .words import check_enumeration_budget, sphere_size
+from .words import _check_length, check_enumeration_budget, sphere_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,7 +73,7 @@ class DehnReport:
         """value / (n (ln n)^2); omitted below n = 2 where ln degenerates."""
         if self.n < 2:
             return None
-        return self.point / (self.n * math.log(self.n) ** 2)
+        return self.point / h_nlog2(self.n)
 
     def as_dict(self) -> dict:
         d: dict = {"n": self.n, "kind": self.kind}
@@ -93,12 +94,6 @@ class DehnReport:
 
 
 # -- exact enumeration ------------------------------------------------------------
-
-
-def _check_length(n: int) -> None:
-    """Refuse a negative word length: no exact statistic is defined there."""
-    if n < 0:
-        raise ValueError(f"word length must be non-negative, got {n}")
 
 
 def _ball(p: AbelianPresentation, radius: int):
@@ -170,11 +165,11 @@ def closed_level_stats(
 
     Off standard Z^2 one word is filled per class of equal free reduction up
     to inversion and the relator-preserving generator flips, which the
-    capped search respects, by one `area_oracle` call, which expands none
-    where the root bracket meets (zxz2 has 924 closed words of length 6 in
-    28 classes, 9 of them searched); see `area._exact_area`. Cyclic rotation
-    is left out: it changes the free reduction that the search cap is
-    measured from.
+    capped search respects, by one oracle search, which expands none where
+    the root bracket meets (zxz2 has 924 closed words of length 6 in 28
+    classes, 9 of them searched); `area._exact_area` builds the search's
+    set-up once per call. Cyclic rotation is left out: it changes the free
+    reduction that the search cap is measured from.
     """
     _check_length(n)
     check_enumeration_budget(p.r, n, budget)
@@ -715,7 +710,6 @@ def nv_asymptotics_report(n_max: int) -> list[tuple[int, float]]:
     """Rows (2n, g_{2n} * 2n * pi / (2 * 16^n)); the ratio tends to one."""
     rows = []
     for k in range(1, n_max + 1):
-        g = math.comb(2 * k, k) ** 2
-        ratio = float(Fraction(g * 2 * k, 2 * 16**k)) * math.pi
+        ratio = float(Fraction(g_even_z2(k) * 2 * k, 2 * 16**k)) * math.pi
         rows.append((2 * k, ratio))
     return rows

@@ -93,6 +93,12 @@ def length_A(w: Word) -> int:
     return len(w.codes)
 
 
+def _check_length(n: int) -> None:
+    """Refuse a negative word length: no statistic or walk count is defined there."""
+    if n < 0:
+        raise ValueError(f"word length must be non-negative, got {n}")
+
+
 def sphere_size(r: int, n: int) -> int:
     """Number of length-n words over r generators: (2r)^n."""
     return (2 * r) ** n

@@ -31,7 +31,7 @@ from dehnlab.area import (
     _relator_cores,
     _relator_rotations,
 )
-from dehnlab.dehnstats import closed_level_stats, iter_closed_codes
+from dehnlab.dehnstats import closed_level_stats, iter_closed_codes, osmean_by_endpoint
 from dehnlab.errors import BudgetError
 from dehnlab.words import reduce_codes
 
@@ -206,6 +206,14 @@ def test_unknown_keywords_raise(z2, st2):
         area_closed_at(z2, st2, w, z2.identity(), bogus=1)
     with pytest.raises(TypeError):
         area_upper_dc(z2, st2, w, typo=3)
+    # only area_oracle and closed_area_result search with a set slack or budget
+    for kw in ({"slack": 4}, {"max_expansions": 10}):
+        with pytest.raises(TypeError):
+            area_open(z2, st2, W("a1 a2"), **kw)
+        with pytest.raises(TypeError):
+            area_closed_at(z2, st2, w, z2.identity(), **kw)
+        with pytest.raises(TypeError):
+            area_upper_dc(z2, st2, w, **kw)
 
 
 def test_area_upper_dc_bounds(z2, st2):
@@ -243,6 +251,27 @@ def test_area_upper_dc_other_groups(z10, zxz2):
         bound = area_upper_dc(p, comb, w, leaf_size=4)
         exact = area_oracle(p, w)
         assert bound >= exact
+
+
+# area_upper_dc at leaf sizes 1, 2, 4 and 8 along the bfs-lex combing. Leaves
+# are oracle areas and triangles sort-and-cancel fillings, so a change to
+# either filler, or to the oracle set-up the leaves share, moves these values.
+@pytest.mark.parametrize(
+    "group, codes, bounds",
+    [
+        ("z3", (-3, -2, -3, 2, 2, -1, 1, 1, 2, 3, 2, 2), (74, 72, 64, 48)),
+        ("z3", (2, -2, -1, -1, -1, -2, 1, -3, -3, 3, -3, 1), (20, 16, 8, 4)),
+        ("z3", (3, -2, -2, -3, 1, -3, -2, 2, 1, -3, -2, 2), (41, 39, 29, 17)),
+        ("zxz3", (-1, 2, -1, -1, 1, -2, 2, 1, 1, -1, -2, -1), (14, 10, 6, 2)),
+        ("zxz3", (2, 1, -1, 1, -2, -1, 2, -2, 1, 2, -2, -2), (11, 7, 1, 1)),
+        ("zxz3", (2, 1, 2, -1, 2, -1, -2, 2, 1, -1, -1, -1), (18, 14, 7, 2)),
+    ],
+)
+def test_area_upper_dc_pinned_values(group, codes, bounds, request):
+    p = request.getfixturevalue(group)
+    comb = make_combing(p, "bfs-lex")
+    got = tuple(area_upper_dc(p, comb, Word(codes), leaf) for leaf in (1, 2, 4, 8))
+    assert got == bounds
 
 
 def test_area_lower_zr(z3):
@@ -369,24 +398,59 @@ def test_exact_enumeration_settles_a_class_from_its_bracket_before_searching(
     group, n, stats, searches, request, monkeypatch
 ):
     p = request.getfixturevalue(group)
-    expansions = []  # per area_oracle call, its _moves calls
-    oracle, moves = area_module.area_oracle, area_module._moves
+    expansions = []  # per search of the oracle set-up, its _moves calls
+    oracle, moves = area_module._oracle, area_module._moves
 
-    def spy_oracle(p, w, **kw):
-        expansions.append(0)
-        return oracle(p, w, **kw)
+    def spy_oracle(*args):
+        search = oracle(*args)
+
+        def spy_search(*args):
+            expansions.append(0)
+            return search(*args)
+
+        return spy_search
 
     def spy_moves(*args):
         expansions[-1] += 1
         return moves(*args)
 
-    monkeypatch.setattr(area_module, "area_oracle", spy_oracle)
+    monkeypatch.setattr(area_module, "_oracle", spy_oracle)
     monkeypatch.setattr(area_module, "_moves", spy_moves)
     assert closed_level_stats(p, n) == stats
     assert sum(1 for k in expansions if k) == searches
     # a searched class still needs its exact area
     with pytest.raises(BudgetError):
         closed_level_stats(p, n, max_expansions=0)
+
+
+def _count_scorer_builds(monkeypatch):
+    """Patch area._bound_scorer to count its builds; returns the running list."""
+    builds = []
+    scorer = area_module._bound_scorer
+
+    def spy(*args):
+        builds.append(args)
+        return scorer(*args)
+
+    monkeypatch.setattr(area_module, "_bound_scorer", spy)
+    return builds
+
+
+def test_enumeration_builds_the_bound_scorer_once(zxz2, monkeypatch):
+    builds = _count_scorer_builds(monkeypatch)
+    closed_level_stats(zxz2, 8)
+    assert len(builds) == 1
+    osmean_by_endpoint(zxz2, make_combing(zxz2, "bfs-lex"), 6)
+    assert len(builds) == 2
+
+
+def test_area_upper_dc_builds_the_bound_scorer_once(zxz3, monkeypatch):
+    builds = _count_scorer_builds(monkeypatch)
+    comb = make_combing(zxz3, "bfs-lex")
+    w = Word((-1, 2, -1, -1, 1, -2, 2, 1, 1, -1, -2, -1))
+    for leaf in (1, 2, 4, 8):
+        area_upper_dc(zxz3, comb, w, leaf)
+    assert len(builds) == 4
 
 
 def _no_moves(monkeypatch):

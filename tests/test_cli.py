@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -298,6 +299,44 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("dehnlab ")
+
+
+def _imported_modules(tree) -> set[str]:
+    """Top-level names of the absolute imports and pytest.importorskip calls in tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "importorskip"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            names.add(node.args[0].value.split(".")[0])
+    return names
+
+
+def test_third_party_test_imports_are_declared():
+    """CI installs only `.[test]`: every third-party module the tests import is declared."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with PYPROJECT.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {
+        re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0].lower().replace("-", "_") for req in requirements
+    }
+    tests = Path(__file__).resolve().parent
+    local = {"dehnlab"} | {path.stem for path in tests.glob("*.py")}
+    imported = set()
+    for path in tests.rglob("*.py"):
+        imported |= _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "pytest", "scipy"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 @pytest.mark.skipif(shutil.which("dehnlab") is None, reason="dehnlab is not installed on PATH")

@@ -28,6 +28,7 @@ from dehnlab import (
     tail_report_sampled_zr,
     walk_counts,
 )
+from dehnlab import counting
 from dehnlab.counting import (
     _CELL_LIMIT,
     _crt,
@@ -43,6 +44,15 @@ def test_walk_counts_examples(z2):
     assert t2.get(z2.canonical_form((1, 1))) == 2
     assert t2.get(z2.identity()) == 4
     assert walk_counts(z2, 3).total() == 64
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("counts", [walk_counts, nonbacktracking_counts])
+@pytest.mark.parametrize("group", ["z2", "z10"])
+def test_walk_counts_reject_a_negative_length(group, counts, n, request):
+    # n = -2 on z10 once read as the n = 0 table or died in numpy's reshape
+    with pytest.raises(ValueError, match="word length must be non-negative"):
+        counts(request.getfixturevalue(group), n)
 
 
 def test_walk_counts_budget(z2):
@@ -243,6 +253,14 @@ def test_closed_form_examples():
     assert closed_walk_closed_form_z2(5) == 0
     with pytest.raises(ValueError):
         closed_walk_closed_form_z2(-2)
+
+
+def test_exact_tail_check_reads_the_tail_constant(monkeypatch):
+    # the exact check and tail_bound_1d share TAIL_K_1D, so they move together
+    assert tail_fraction_exact_1d_holds(100, 1.0)
+    monkeypatch.setattr(counting, "TAIL_K_1D", 0.05)
+    assert not tail_report_exact_1d(100, 1.0).holds
+    assert not tail_fraction_exact_1d_holds(100, 1.0)
 
 
 def test_closed_form_matches_dp(z2):
