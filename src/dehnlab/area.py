@@ -576,13 +576,15 @@ def area_oracle(
     w: Word,
     *,
     slack: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
+    max_expansions: int | None = None,
 ):
     """Exact area of a trivial word by A* search over relator insertions.
 
-    Checks that w is a non-lazy word trivial in the group, then runs one
-    `_oracle(p, slack)` search from its free reduction with max_expansions:
-    an int, or the certified AreaResult bracket when the budget runs out.
+    Checks that w is a non-lazy word trivial in the group and that slack, if
+    given, is at least 1, then runs one `_oracle(p, slack)` search from its
+    free reduction with max_expansions (None: DEFAULT_ORACLE_EXPANSIONS at
+    call time): an int, or the certified AreaResult bracket when the budget
+    runs out.
 
     The capped search sees w only through its free reduction, and it
     respects word inversion and every flip of `_relator_flips(p)`: each maps
@@ -592,21 +594,25 @@ def area_oracle(
     is not such a symmetry: it changes the free reduction that the cap is
     measured from, so a rotated word can search a different capped graph.
     """
+    if slack is not None and slack < 1:
+        raise ValueError(f"slack must be at least 1, got {slack}")
     if w.lazy:
         raise ValueError("paths are non-lazy words")
     if not p.is_identity(w):
         raise ValueError("area is defined for words mapping to 1 in the group")
+    if max_expansions is None:
+        max_expansions = DEFAULT_ORACLE_EXPANSIONS
     return _oracle(p, slack)(reduce_codes(w.codes), max_expansions)
 
 
-def _exact_area(p: AbelianPresentation, max_expansions: int):
+def _exact_area(p: AbelianPresentation):
     """codes -> exact area: winding on standard Z^2, the oracle elsewhere.
 
     Words with the same free reduction up to inversion and the flips of
     `_relator_flips(p)` have the same oracle area (see `area_oracle`), so
     the first word met in a class settles it, under a memo keyed by the
     class's least image. The `_oracle` set-up is built once, and one search
-    with the expansion budget settles a class at any length: from the root
+    with DEFAULT_ORACLE_EXPANSIONS settles a class at any length: from the root
     bracket when its two ends meet, by the search otherwise. An interval
     raises BudgetError.
     """
@@ -628,7 +634,7 @@ def _exact_area(p: AbelianPresentation, max_expansions: int):
         )
         got = memo.get(key)
         if got is None:
-            got = search(reduced, max_expansions)
+            got = search(reduced, DEFAULT_ORACLE_EXPANSIONS)
             if isinstance(got, AreaResult):
                 raise BudgetError(f"oracle could not certify an exact area for {codes}")
             memo[key] = got
@@ -702,23 +708,24 @@ def closed_area_result(
     w: Word,
     *,
     slack: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
 ) -> AreaResult:
     """Best available certified area of a closed word for any presentation.
 
-    Standard Z^2 is exact by winding. Elsewhere `area_oracle` fills it with
-    slack and max_expansions, from the root bracket where that meets; past
+    A slack below 1 raises ValueError on every presentation. Standard Z^2 is
+    exact by winding. Elsewhere `area_oracle` fills it with slack and
+    DEFAULT_ORACLE_EXPANSIONS, from the root bracket where that meets; past
     ORACLE_CUTOFF letters reduced, on a presentation the filler applies to,
     it gets zero expansions, so a wider root bracket is the result.
     """
+    if slack is not None and slack < 1:
+        raise ValueError(f"slack must be at least 1, got {slack}")
     if w.lazy:
         raise ValueError("paths are non-lazy words")
     if p.is_standard_z2:
         return AreaResult.of(_area_z2_codes(w.codes))
     fills = _fill_info(_relator_cores(p), p.r) is not None
-    if fills and len(reduce_codes(w.codes)) > ORACLE_CUTOFF:
-        max_expansions = 0
-    got = area_oracle(p, w, slack=slack, max_expansions=max_expansions)
+    cut = fills and len(reduce_codes(w.codes)) > ORACLE_CUTOFF
+    got = area_oracle(p, w, slack=slack, max_expansions=0 if cut else None)
     return AreaResult.of(got) if isinstance(got, int) else got
 
 

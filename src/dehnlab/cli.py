@@ -76,8 +76,6 @@ def _emit(args, cfg: dict, fieldnames: list[str], rows: list[dict], payload_key=
 
 def cmd_area(args) -> int:
     p = resolve_group(args.group)
-    if args.oracle_slack is not None and args.oracle_slack <= 0:
-        raise ValueError("--oracle-slack must be positive")
     rows = []
     source = sys.stdin if args.words_file is None else open(args.words_file, "r", encoding="utf-8")
     try:

@@ -8,8 +8,8 @@ Walk counts live on a dense frame: an axis per free coordinate, spanning
 A step sums the frame rolled by each generator image; the rolls wrap the
 torsion axes, and no walk reaches the edge of a free axis. Cells are int64
 residues mod enough moduli to hold every count (`_moduli`), rebuilt by CRT.
-`max_states` bounds the frame's cells, times 2r for non-backtracking counts,
-and is checked before anything is allocated.
+DEFAULT_STATE_BUDGET bounds the frame's cells, times 2r for non-backtracking
+counts, and is checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -104,9 +104,7 @@ class CountTable:
         return self.counts.get(v, 0)
 
 
-def _dense_counts(
-    p: AbelianPresentation, n: int, max_states: int, backtracking_allowed: bool
-) -> CountTable:
+def _dense_counts(p: AbelianPresentation, n: int, backtracking_allowed: bool) -> CountTable:
     _check_length(n)
     import numpy as np
     images = [p.generator_image(c) for c in p.generator_codes]
@@ -115,8 +113,8 @@ def _dense_counts(
     shape = tuple(2 * h + 1 for h in reach) + p.torsion_moduli or (1,)
     shifts = [g.free_part + g.torsion_part or (0,) for g in images]
     cells = math.prod(shape) * (1 if backtracking_allowed else len(shifts))
-    if cells > max_states:
-        raise BudgetError(f"walk frame of {cells} cells exceeds {max_states} states")
+    if cells > DEFAULT_STATE_BUDGET:
+        raise BudgetError(f"walk frame of {cells} cells exceeds {DEFAULT_STATE_BUDGET} states")
     growth = len(shifts)  # a step sums 2r frames or 2r differences
     bound = growth**n if backtracking_allowed else growth * (growth - 1) ** max(n - 1, 0)
     moduli = _moduli(bound, growth)
@@ -156,26 +154,23 @@ def _dense_counts(
     return CountTable(n, counts, backtracking_allowed)
 
 
-def walk_counts(
-    p: AbelianPresentation, n: int, *, max_states: int = DEFAULT_STATE_BUDGET
-) -> CountTable:
+def walk_counts(p: AbelianPresentation, n: int) -> CountTable:
     """Exact N_v(n) per endpoint v, by rolling one dense frame per generator.
 
     Cells are int64 residues modulo enough moduli to hold (2r)^n, rebuilt by
-    CRT; max_states bounds the frame's cells.
+    CRT; DEFAULT_STATE_BUDGET bounds the frame's cells.
     """
-    return _dense_counts(p, n, max_states, True)
+    return _dense_counts(p, n, True)
 
 
-def nonbacktracking_counts(
-    p: AbelianPresentation, n: int, *, max_states: int = DEFAULT_STATE_BUDGET
-) -> CountTable:
+def nonbacktracking_counts(p: AbelianPresentation, n: int) -> CountTable:
     """Exact N'_v(n): walks never followed by the inverse of the last step.
 
     One dense frame per last letter, residues as in walk_counts but for the
-    2r (2r - 1)^(n - 1) walks; max_states bounds the frame's cells times 2r.
+    2r (2r - 1)^(n - 1) walks; DEFAULT_STATE_BUDGET bounds the frame's cells
+    times 2r.
     """
-    return _dense_counts(p, n, max_states, False)
+    return _dense_counts(p, n, False)
 
 
 def closed_walk_closed_form_z2(n: int) -> int:
@@ -299,11 +294,10 @@ def tail_fraction_exact_1d_holds(n: int, c: float) -> bool:
     return float(frac) <= tail_bound_1d(n, c)
 
 
-def endpoint_samples_zr(
-    r: int, n: int, samples: int, rng: np.random.Generator, chunk: int = 1 << 20
-) -> np.ndarray:
+def endpoint_samples_zr(r: int, n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """L1 group lengths of uniform word endpoints in Z^r, via multinomial counts."""
     import numpy as np
+    chunk = 1 << 20
     out = np.empty(samples, dtype=np.int64)
     probs = [1.0 / (2 * r)] * (2 * r)
     for done in range(0, samples, chunk):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .area import DEFAULT_ORACLE_EXPANSIONS, _area_z2_rows, _exact_area
+from .area import _area_z2_rows, _exact_area
 from .cogrowth import g_even_z2
 from .combing import GeodesicCombing
 from .counting import _crt, _moduli, _reduce_first, make_rng, sample_letter_matrix, slots_to_codes
@@ -149,19 +149,14 @@ def iter_closed_codes(p: AbelianPresentation, n: int):
     return (codes for codes, _ in _walks(p, _ball(p, n // 2), n, True))
 
 
-def closed_level_stats(
-    p: AbelianPresentation,
-    n: int,
-    *,
-    budget: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
-) -> tuple[int, int, int]:
+def closed_level_stats(p: AbelianPresentation, n: int) -> tuple[int, int, int]:
     """(count, area sum, area max) over the closed words of length exactly n.
 
     Pruned enumeration: the route for every closed-word statistic on
     presentations other than standard Z^2; on Z^2 the test oracle of the
-    winding DP and of D(n)'s closed form. The budget counts words (see
-    check_enumeration_budget); max_expansions caps each oracle search.
+    winding DP and of D(n)'s closed form. The word budget is checked first
+    (check_enumeration_budget); DEFAULT_ORACLE_EXPANSIONS caps each oracle
+    search.
 
     Off standard Z^2 one word is filled per class of equal free reduction up
     to inversion and the relator-preserving generator flips, which the
@@ -172,8 +167,8 @@ def closed_level_stats(
     reduction that the search cap is measured from.
     """
     _check_length(n)
-    check_enumeration_budget(p.r, n, budget)
-    area = _exact_area(p, max_expansions)
+    check_enumeration_budget(p.r, n)
+    area = _exact_area(p)
     count = 0
     asum = 0
     amax = 0
@@ -210,11 +205,11 @@ def _winding_bound(n: int) -> int:
     return (n + 3) // 4
 
 
-def _check_dp_budget(work: int, budget: int | None) -> None:
-    if budget is None:
-        budget = DEFAULT_DP_BUDGET
-    if work > budget:
-        raise BudgetError(f"winding DP of {work} cell-step-states exceeds budget {budget}")
+def _check_dp_budget(work: int) -> None:
+    if work > DEFAULT_DP_BUDGET:
+        raise BudgetError(
+            f"winding DP of {work} cell-step-states exceeds budget {DEFAULT_DP_BUDGET}"
+        )
 
 
 def _winding_dp(N: np.ndarray, ix0: int, below: np.ndarray, n: int, moduli: tuple, bound: int):
@@ -250,13 +245,13 @@ def _winding_dp(N: np.ndarray, ix0: int, below: np.ndarray, n: int, moduli: tupl
         yield N
 
 
-def _z2_level_sums(n_max: int, budget: int | None = None) -> list[tuple[int, int]]:
+def _z2_level_sums(n_max: int) -> list[tuple[int, int]]:
     """(count, area sum) of the closed Z^2 words of each length t <= n_max."""
     import numpy as np
     radius = max(n_max // 2, 1)  # a walk farther out cannot close by n_max
     side = 2 * radius + 1
     kb = _winding_bound(n_max)
-    _check_dp_budget(radius * radius * n_max * side * side * (2 * kb + 1), budget)
+    _check_dp_budget(radius * radius * n_max * side * side * (2 * kb + 1))
     bound = math.comb(n_max, n_max // 2) ** 2  # walks to a point: x +- y are +-1 walks
     moduli = _moduli(bound)
     ys = np.arange(-radius, radius + 1)
@@ -277,7 +272,7 @@ def _z2_level_sums(n_max: int, budget: int | None = None) -> list[tuple[int, int
     return [(c, 4 * s) for c, s in zip(counts, sums)]
 
 
-def _z2_osmean_total(n: int, budget: int | None = None) -> int:
+def _z2_osmean_total(n: int) -> int:
     """Total open area of all 4^n words, each closed by the staircase return.
 
     Unit mass starts at every (-u0, -y0), 0 <= u0, y0 < n; k is the winding of
@@ -292,7 +287,7 @@ def _z2_osmean_total(n: int, budget: int | None = None) -> int:
     r = max(n, 1)
     side = 3 * r
     kb = _winding_bound(n)
-    _check_dp_budget(n * side * side * (2 * kb + 1), budget)
+    _check_dp_budget(n * side * side * (2 * kb + 1))
     moduli = _moduli(r * r * 4**n, side * side)
     o = 2 * r - 1  # the index of X = 0 and of Y = 0
     N = np.zeros((len(moduli), side, side, 2 * kb + 1), dtype=np.int64)
@@ -307,39 +302,26 @@ def _z2_osmean_total(n: int, budget: int | None = None) -> int:
     return 4 * sum(map(operator.mul, _crt(sides, moduli), weights))
 
 
-def level_sums(
-    p: AbelianPresentation,
-    n_max: int,
-    *,
-    budget: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
-) -> list[tuple[int, int]]:
+def level_sums(p: AbelianPresentation, n_max: int) -> list[tuple[int, int]]:
     """(count, area sum) over the closed words of each length t <= n_max.
 
-    One winding-DP pass on standard Z^2 (budget counts cells x steps x
-    states); pruned enumeration level by level elsewhere (budget counts
-    words per level).
+    One winding-DP pass on standard Z^2 (DEFAULT_DP_BUDGET counts cells x
+    steps x states); pruned enumeration level by level elsewhere, refused
+    before the first level when the words of length n_max exceed the word
+    budget.
     """
     _check_length(n_max)
     if p.is_standard_z2:
-        return _z2_level_sums(n_max, budget)
-    return [
-        closed_level_stats(p, t, budget=budget, max_expansions=max_expansions)[:2]
-        for t in range(n_max + 1)
-    ]
+        return _z2_level_sums(n_max)
+    check_enumeration_budget(p.r, n_max)
+    return [closed_level_stats(p, t)[:2] for t in range(n_max + 1)]
 
 
-def dehn_exact(
-    p: AbelianPresentation,
-    n: int,
-    *,
-    budget: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
-) -> DehnReport:
+def dehn_exact(p: AbelianPresentation, n: int) -> DehnReport:
     """Exact classical D(n), the largest area of a closed word of length <= n.
 
     On standard Z^2, D(n) = floor(m^2 / 16) with m the largest even number
-    <= n, in O(1); neither budget nor max_expansions applies. Proof:
+    <= n, in O(1); no budget applies. Proof:
     - A closed word's area is the sum over unit cells of |winding| (the
       identity `_area_z2_codes` computes), so by the layer cake it is the sum
       over t >= 1 of |{w >= t}| + |{w <= -t}|.
@@ -358,8 +340,8 @@ def dehn_exact(
     Enumeration (`closed_level_stats`) is the formula's test oracle.
 
     Elsewhere, the larger `closed_level_stats` maximum of the lengths n and
-    n - 1: budget counts the words of a level, max_expansions caps each
-    oracle search. The shorter levels cannot add to it: w -> w a1 A1 maps
+    n - 1, refused before either runs when the words of length n exceed the
+    word budget. The shorter levels cannot add to it: w -> w a1 A1 maps
     the closed words of length t into those of length t + 2 with the same
     free reduction, which is all the oracle sees of a word, so the level
     maximum of t + 2 is at least that of t.
@@ -368,10 +350,8 @@ def dehn_exact(
     if p.is_standard_z2:
         value = (n - n % 2) ** 2 // 16
     else:
-        value = max(
-            closed_level_stats(p, t, budget=budget, max_expansions=max_expansions)[2]
-            for t in range(max(n - 1, 0), n + 1)
-        )
+        check_enumeration_budget(p.r, n)
+        value = max(closed_level_stats(p, t)[2] for t in range(max(n - 1, 0), n + 1))
     return DehnReport(n=n, kind=KIND_D, value=Fraction(value))
 
 
@@ -380,28 +360,28 @@ def _smean(count: int, asum: int) -> Fraction:
     return Fraction(0) if count == 0 else Fraction(asum, count)
 
 
-def smean_exact(p: AbelianPresentation, n: int, **kw) -> DehnReport:
+def smean_exact(p: AbelianPresentation, n: int) -> DehnReport:
     """Exact spherical mean; zero by convention when the sphere is empty.
 
     Standard Z^2 reads level n off one DP pass; elsewhere only the closed
     words of length n are enumerated.
     """
     if p.is_standard_z2:
-        level = level_sums(p, n, **kw)[n]
+        level = level_sums(p, n)[n]
     else:
-        level = closed_level_stats(p, n, **kw)[:2]
+        level = closed_level_stats(p, n)[:2]
     return DehnReport(n=n, kind=KIND_SMEAN, value=_smean(*level))
 
 
-def mean_exact(p: AbelianPresentation, n: int, **kw) -> DehnReport:
+def mean_exact(p: AbelianPresentation, n: int) -> DehnReport:
     """Exact mean over the ball of closed words of length <= n."""
-    levels = level_sums(p, n, **kw)
+    levels = level_sums(p, n)
     total = sum(c for c, _ in levels)
     asum = sum(s for _, s in levels)
     return DehnReport(n=n, kind=KIND_MEAN, value=Fraction(asum, total))
 
 
-def lazy_mean(p: AbelianPresentation, n: int, **kw) -> DehnReport:
+def lazy_mean(p: AbelianPresentation, n: int) -> DehnReport:
     """Mean area over closed lazy words of length n.
 
     A closed word of length m expands to a length-n lazy word in C(n, n-m)
@@ -410,7 +390,7 @@ def lazy_mean(p: AbelianPresentation, n: int, **kw) -> DehnReport:
     """
     num = 0
     den = 0
-    for m, (c, s) in enumerate(level_sums(p, n, **kw)):
+    for m, (c, s) in enumerate(level_sums(p, n)):
         mult = math.comb(n, n - m)
         num += mult * s
         den += mult * c
@@ -421,49 +401,35 @@ def lazy_mean(p: AbelianPresentation, n: int, **kw) -> DehnReport:
 # -- open means -------------------------------------------------------------------
 
 
-def osmean_exact(
-    p: AbelianPresentation,
-    c: GeodesicCombing,
-    n: int,
-    *,
-    budget: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
-) -> DehnReport:
+def osmean_exact(p: AbelianPresentation, c: GeodesicCombing, n: int) -> DehnReport:
     """Exact mean open area over all (2r)^n words of length n.
 
     One superposed winding DP on standard Z^2, where every combing is the
-    staircase (budget counts cells x steps x states); elsewhere the total of
-    osmean_by_endpoint's table (budget counts words).
+    staircase (DEFAULT_DP_BUDGET counts cells x steps x states); elsewhere
+    the total of osmean_by_endpoint's table (the word budget applies).
     """
     _check_length(n)
     if p.is_standard_z2:
-        total = _z2_osmean_total(n, budget)
+        total = _z2_osmean_total(n)
     else:
-        table = osmean_by_endpoint(p, c, n, budget=budget, max_expansions=max_expansions)
+        table = osmean_by_endpoint(p, c, n)
         total = sum(s for _, s in table.values())
     return DehnReport(
         n=n, kind=KIND_OSMEAN, value=Fraction(total, sphere_size(p.r, n)), combing=c.kind
     )
 
 
-def osmean_by_endpoint(
-    p: AbelianPresentation,
-    c: GeodesicCombing,
-    n: int,
-    *,
-    budget: int | None = None,
-    max_expansions: int = DEFAULT_ORACLE_EXPANSIONS,
-) -> dict:
+def osmean_by_endpoint(p: AbelianPresentation, c: GeodesicCombing, n: int) -> dict:
     """Per-endpoint [walk count, open-area sum] over all length-n words.
 
     Enumerates every word, on every presentation, and closes it by its
     endpoint's reversed combing word, so the cost grows with (2r)^n (4^n on
-    Z^2); budget counts words. It is the osmean route off standard Z^2 and the
-    test oracle of the Z^2 winding DP.
+    Z^2), checked against the word budget first. It is the osmean route off
+    standard Z^2 and the test oracle of the Z^2 winding DP.
     """
     _check_length(n)
-    check_enumeration_budget(p.r, n, budget)
-    area = _exact_area(p, max_expansions)
+    check_enumeration_budget(p.r, n)
+    area = _exact_area(p)
     ball = _ball(p, n)
     elems = ball[0]
     out: dict = {}
@@ -610,13 +576,13 @@ class RelationRow:
     ok: bool
 
 
-def relation_check(p: AbelianPresentation, n_max: int, **kw) -> list[RelationRow]:
+def relation_check(p: AbelianPresentation, n_max: int) -> list[RelationRow]:
     """Exact check of mean(n) <= max over m <= n of smean(m), per length."""
     rows = []
     running_max = Fraction(0)
     total = 0
     asum = 0
-    for n, (c, s) in enumerate(level_sums(p, n_max, **kw)):
+    for n, (c, s) in enumerate(level_sums(p, n_max)):
         running_max = max(running_max, _smean(c, s))
         total += c
         asum += s

@@ -114,29 +114,27 @@ def lazy_count(r: int, n: int) -> int:
     return (2 * r + 1) ** n
 
 
-def check_enumeration_budget(r: int, n: int, budget: int | None = None) -> None:
-    """Raise BudgetError when the (2r)^n length-n words exceed the word budget.
+def check_enumeration_budget(r: int, n: int) -> None:
+    """Raise BudgetError when the (2r)^n length-n words exceed DEFAULT_ENUMERATION_BUDGET.
 
-    The one word budget of the package; None means DEFAULT_ENUMERATION_BUDGET.
+    The one word budget of the package, read at call time.
     """
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
-    if sphere_size(r, n) > budget:
-        raise BudgetError(f"enumeration of ({2 * r})^{n} words exceeds budget {budget}")
+    if sphere_size(r, n) > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"enumeration of ({2 * r})^{n} words exceeds budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
 
 
-def enumerate_code_tuples(
-    r: int, n: int, *, budget: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def enumerate_code_tuples(r: int, n: int) -> Iterator[tuple[int, ...]]:
     """Yield each of the (2r)^n length-n code tuples once, in deterministic order.
 
     Order is lexicographic by letter code sequence a1 < A1 < a2 < A2 < ...
     """
-    check_enumeration_budget(r, n, budget)
+    check_enumeration_budget(r, n)
     letters = tuple(c for i in range(1, r + 1) for c in (i, -i))
     return itertools.product(letters, repeat=n)
 
 
-def enumerate_words(r: int, n: int, *, budget: int | None = None) -> Iterator[Word]:
+def enumerate_words(r: int, n: int) -> Iterator[Word]:
     """Like enumerate_code_tuples but yielding Word objects."""
-    return map(Word, enumerate_code_tuples(r, n, budget=budget))
+    return map(Word, enumerate_code_tuples(r, n))

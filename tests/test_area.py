@@ -206,7 +206,12 @@ def test_unknown_keywords_raise(z2, st2):
         area_closed_at(z2, st2, w, z2.identity(), bogus=1)
     with pytest.raises(TypeError):
         area_upper_dc(z2, st2, w, typo=3)
-    # only area_oracle and closed_area_result search with a set slack or budget
+    # only area_oracle searches with a set budget, and it and closed_area_result
+    # with a set slack; _exact_area reads DEFAULT_ORACLE_EXPANSIONS
+    with pytest.raises(TypeError):
+        closed_area_result(z2, w, max_expansions=10)
+    with pytest.raises(TypeError):
+        area_module._exact_area(z2, 10)
     for kw in ({"slack": 4}, {"max_expansions": 10}):
         with pytest.raises(TypeError):
             area_open(z2, st2, W("a1 a2"), **kw)
@@ -214,6 +219,20 @@ def test_unknown_keywords_raise(z2, st2):
             area_closed_at(z2, st2, w, z2.identity(), **kw)
         with pytest.raises(TypeError):
             area_upper_dc(z2, st2, w, **kw)
+
+
+def test_slack_below_one_is_refused(z2, zxz2):
+    # slack -4 capped the search below the word's own length, and the filler's
+    # 4 came back marked exact; the area is 2
+    w = W("A2 A2 A1 A1 a2 a1 a1 a2")
+    assert closed_area_result(zxz2, w, slack=1) == AreaResult.of(2)
+    for slack in (-4, 0):
+        with pytest.raises(ValueError, match="slack must be at least 1"):
+            closed_area_result(zxz2, w, slack=slack)
+        with pytest.raises(ValueError, match="slack must be at least 1"):
+            area_oracle(zxz2, w, slack=slack)
+        with pytest.raises(ValueError, match="slack must be at least 1"):
+            closed_area_result(z2, W("a1 a2 A1 A2"), slack=slack)
 
 
 def test_area_upper_dc_bounds(z2, st2):
@@ -308,7 +327,7 @@ def test_closed_area_result_matches_oracle_on_short_words(group, request):
             assert lower_bound(codes) <= area, codes
 
 
-def test_closed_area_result_long_torsion_words(zxz2):
+def test_closed_area_result_long_torsion_words(zxz2, monkeypatch):
     # the least chain (here |a2 exponent sum| / 2) meets the filling: exact, no search
     assert closed_area_result(zxz2, Word((2,) * 18)) == AreaResult.of(9)
     # past the oracle cutoff a conjugate of a2 a2, with one power cell and no
@@ -318,8 +337,9 @@ def test_closed_area_result_long_torsion_words(zxz2):
     # a2^-1 a1^-3 a2 a1^3 has exponent sums 0 and area 3: where the torsion
     # bound read 0, a starved search already brackets it from the area up
     w = Word((-2, -1, -1, -1, 2, 1, 1, 1))
-    assert closed_area_result(zxz2, w, max_expansions=0) == AreaResult(3, 9, False)
     assert closed_area_result(zxz2, w) == AreaResult.of(3)
+    monkeypatch.setattr(area_module, "DEFAULT_ORACLE_EXPANSIONS", 0)
+    assert closed_area_result(zxz2, w) == AreaResult(3, 9, False)
 
 
 def _route(p):
@@ -419,8 +439,9 @@ def test_exact_enumeration_settles_a_class_from_its_bracket_before_searching(
     assert closed_level_stats(p, n) == stats
     assert sum(1 for k in expansions if k) == searches
     # a searched class still needs its exact area
+    monkeypatch.setattr(area_module, "DEFAULT_ORACLE_EXPANSIONS", 0)
     with pytest.raises(BudgetError):
-        closed_level_stats(p, n, max_expansions=0)
+        closed_level_stats(p, n)
 
 
 def _count_scorer_builds(monkeypatch):

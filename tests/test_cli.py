@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from dehnlab import cli
+import dehnlab.area as area_module
+from dehnlab import Word, cli, closed_area_result, dehnstats, resolve_group
 from dehnlab.cli import main
 
 
@@ -169,6 +170,45 @@ def test_area_rejects_open_word(capsys, tmp_path):
     assert "closed" in err or "trivial" in err
 
 
+def test_area_oracle_slack_reaches_the_oracle(capsys, monkeypatch, tmp_path):
+    lines = [
+        "A2 A2 A1 A1 a2 a1 a1 a2",
+        "a1 A1",
+        "A2 A2 A1 A2 A1 A2 a1 A2 A1 A2 A2 a1 a1 A1 a2 a1 a2 a2 a2 a2",
+    ]
+    words = tmp_path / "words.txt"
+    words.write_text("\n".join(lines) + "\n")
+    slacks = []
+    oracle = area_module._oracle
+
+    def spy_oracle(p, slack=None):
+        slacks.append(slack)
+        return oracle(p, slack)
+
+    monkeypatch.setattr(area_module, "_oracle", spy_oracle)
+    argv = ("area", "--group", "zxz2", "--oracle-slack", "2", "--words-file", str(words))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert slacks == [2, 2, 2]
+    p = resolve_group("zxz2")
+    expected = []
+    for line in lines:
+        res = closed_area_result(p, Word.from_tokens(line), slack=2)
+        expected.append(f"{line.replace(' ', '.')},{res.lower},{res.upper},{str(res.exact).lower()}")
+    assert out.splitlines()[3:] == expected
+
+
+def test_area_oracle_slack_below_one_is_config_error(capsys, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("a1 a2 A1 A2\n")
+    for group in ("zxz2", "z2"):
+        argv = ("area", "--group", group, "--oracle-slack", "0", "--words-file", str(words))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "slack must be at least 1" in err
+
+
 def test_bad_group_is_config_error(capsys):
     code, _, err = run_cli(capsys, "count", "--group", "nope", "--n", "2")
     assert code == 2
@@ -240,6 +280,19 @@ def test_budget_exhaustion_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize("kind", ["mean", "D"])
+def test_over_budget_exact_levels_exit_3_at_once(capsys, monkeypatch, kind):
+    # 2^27 words on Z/10: no level below n = 27 may run before the refusal
+    def walked(*args):
+        raise AssertionError("a level was enumerated before the budget check")
+
+    monkeypatch.setattr(dehnstats, "_walks", walked)
+    code, out, err = run_cli(capsys, "dehn", "--group", "z10", "--kind", kind, "--n", "27")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
 
 
 def test_byte_identical_reruns(capsys, tmp_path):

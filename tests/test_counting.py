@@ -55,9 +55,10 @@ def test_walk_counts_reject_a_negative_length(group, counts, n, request):
         counts(request.getfixturevalue(group), n)
 
 
-def test_walk_counts_budget(z2):
+def test_walk_counts_budget(z2, monkeypatch):
+    monkeypatch.setattr(counting, "DEFAULT_STATE_BUDGET", 5)
     with pytest.raises(BudgetError):
-        walk_counts(z2, 10, max_states=5)
+        walk_counts(z2, 10)
 
 
 # (presentation, largest n) for the dense DP against enumeration; the images of
@@ -224,12 +225,15 @@ def test_walk_budget_checked_before_allocation(monkeypatch):
         walk_counts(free_abelian(3), 100)  # 201^3 cells at the default budget
 
 
-def test_nonbacktracking_budget_counts_each_last_letter(z2):
+def test_nonbacktracking_budget_counts_each_last_letter(z2, monkeypatch):
     cells = 21 * 21  # the n = 10 frame on Z^2
-    assert walk_counts(z2, 10, max_states=cells).total() == 4**10
-    nonbacktracking_counts(z2, 10, max_states=4 * cells)
+    monkeypatch.setattr(counting, "DEFAULT_STATE_BUDGET", cells)
+    assert walk_counts(z2, 10).total() == 4**10
+    monkeypatch.setattr(counting, "DEFAULT_STATE_BUDGET", 4 * cells)
+    nonbacktracking_counts(z2, 10)
+    monkeypatch.setattr(counting, "DEFAULT_STATE_BUDGET", 4 * cells - 1)
     with pytest.raises(BudgetError):
-        nonbacktracking_counts(z2, 10, max_states=4 * cells - 1)
+        nonbacktracking_counts(z2, 10)
 
 
 def test_nonbacktracking_examples(z2):

@@ -29,12 +29,15 @@ from dehnlab import (
     smean_sampled,
     walk_counts,
 )
+from dehnlab import area as area_module
 from dehnlab import dehnstats
 from dehnlab.area import _area_z2_codes, area_oracle
 from dehnlab.counting import (
     _moduli,
     closed_walk_closed_form_z2,
+    endpoint_samples_zr,
     make_rng,
+    nonbacktracking_counts,
     sample_letter_matrix,
     slots_to_codes,
 )
@@ -49,7 +52,7 @@ from dehnlab.dehnstats import (
     level_sums,
 )
 from dehnlab.errors import BudgetError
-from dehnlab.words import Word, enumerate_code_tuples
+from dehnlab.words import Word, check_enumeration_budget, enumerate_code_tuples, enumerate_words
 
 from conftest import WALK_PRESENTATIONS
 
@@ -198,10 +201,11 @@ def test_smean_odd_zero_for_even_relators(z2, zxz2):
             assert smean_exact(p, n).value == 0
 
 
-def test_smean_reads_only_its_own_level(zxz2):
+def test_smean_reads_only_its_own_level(zxz2, monkeypatch):
     # Level 7 of zxz2 is empty, so no area is needed; the oracle would run out
     # of expansions on the level-4 word (1, 2, -1, 2).
-    assert smean_exact(zxz2, 7, max_expansions=0).value == 0
+    monkeypatch.setattr(area_module, "DEFAULT_ORACLE_EXPANSIONS", 0)
+    assert smean_exact(zxz2, 7).value == 0
 
 
 def test_mean_values(z2):
@@ -366,8 +370,43 @@ def test_dp_budget(z2, st2, monkeypatch):
         smean_exact(z2, 40)
     with pytest.raises(BudgetError):
         osmean_exact(z2, st2, 88)
+    monkeypatch.setattr(dehnstats, "DEFAULT_DP_BUDGET", 1000)
     with pytest.raises(BudgetError):
-        level_sums(z2, 10, budget=1000)
+        level_sums(z2, 10)
+
+
+def test_budgets_take_no_per_call_keyword(z2, zxz2):
+    # each budget is its module constant, read when its check runs
+    bfs = make_combing(zxz2, "bfs-lex")
+    calls = [
+        (check_enumeration_budget, (2, 2), ["budget"]),
+        (enumerate_code_tuples, (2, 2), ["budget"]),
+        (enumerate_words, (2, 2), ["budget"]),
+        (walk_counts, (z2, 2), ["max_states"]),
+        (nonbacktracking_counts, (z2, 2), ["max_states"]),
+        (endpoint_samples_zr, (2, 4, 3, make_rng(1)), ["chunk"]),
+    ]
+    stats = [closed_level_stats, level_sums, dehn_exact, smean_exact, mean_exact, lazy_mean]
+    calls += [(f, (zxz2, 2), ["budget", "max_expansions"]) for f in stats + [relation_check]]
+    for f in (osmean_exact, osmean_by_endpoint):
+        calls.append((f, (zxz2, bfs, 2), ["budget", "max_expansions"]))
+    for f, args, names in calls:
+        for name in names:
+            with pytest.raises(TypeError):
+                f(*args, **{name: 10**9})
+    with pytest.raises(TypeError):
+        endpoint_samples_zr(2, 4, 3, make_rng(1), 2)
+
+
+@pytest.mark.parametrize("stat", [mean_exact, lazy_mean, relation_check, dehn_exact])
+def test_over_budget_levels_are_refused_before_any_level_runs(z10, stat, monkeypatch):
+    # 2^27 words of length 27 on Z/10: the levels below once ran for minutes first
+    def walked(*args):
+        raise AssertionError("a level was enumerated before the budget check")
+
+    monkeypatch.setattr(dehnstats, "_walks", walked)
+    with pytest.raises(BudgetError):
+        stat(z10, 27)
 
 
 # the n = 34 area sum, from the Python-int DP that the residue DP replaced
@@ -396,13 +435,14 @@ def test_osmean_total_on_tiny_moduli_matches_enumeration(z2, st2, tiny_moduli):
     assert max(tiny_moduli) > 1
 
 
-def test_level_stats_keyed_on_every_oracle_argument():
+def test_level_stats_keyed_on_every_oracle_argument(monkeypatch):
     # results for one oracle budget must not be served for another; at
     # length 4 the bracket alone certifies every class, so no budget starves
     p = builtin_presentation("zxz2")
     assert closed_level_stats(p, 6) == (924, 1008, 3)
+    monkeypatch.setattr(area_module, "DEFAULT_ORACLE_EXPANSIONS", 0)
     with pytest.raises(BudgetError):
-        closed_level_stats(p, 6, max_expansions=0)
+        closed_level_stats(p, 6)
 
 
 @pytest.mark.parametrize("name, n_max", [("zxz2", 6), ("z3", 4), ("a1a1a2,[a1,a2]", 6)])
@@ -420,12 +460,13 @@ def test_smean_zxz2_6_pin(zxz2):
 
 
 @pytest.mark.parametrize("name", ["zxz2", "a1a1a2,[a1,a2]"])
-def test_oracle_memo_lives_for_one_call(name):
+def test_oracle_memo_lives_for_one_call(name, monkeypatch):
     # a default call fills every class; a later starved call must search again
     p = WALK_PRESENTATIONS[name]()
     closed_level_stats(p, 6)
+    monkeypatch.setattr(area_module, "DEFAULT_ORACLE_EXPANSIONS", 0)
     with pytest.raises(BudgetError):
-        closed_level_stats(p, 6, max_expansions=0)
+        closed_level_stats(p, 6)
 
 
 def test_relation_check(z2):

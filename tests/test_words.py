@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import dehnlab.words as words_module
 from dehnlab import (
     BudgetError,
     Word,
@@ -66,9 +67,11 @@ def test_enumerate_counts_match_sphere(r, n):
     assert sum(1 for _ in enumerate_words(r, n)) == sphere_size(r, n)
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
+    monkeypatch.setattr(words_module, "DEFAULT_ENUMERATION_BUDGET", 1000)
+    assert sum(1 for _ in enumerate_words(2, 4)) == 256
     with pytest.raises(BudgetError):
-        list(enumerate_words(2, 30, budget=1000))
+        list(enumerate_words(2, 5))
 
 
 def test_free_reduce_idempotent_and_parity():
